@@ -47,7 +47,7 @@ def main() -> None:
             embodied_kg=breakdown["total"],
             avg_power_watts=system.avg_power_mw * 1e6,
             lifetime_years=system.lifetime_years,
-            grid_intensity=ci)
+            grid_intensity_g_per_kwh=ci)
         r = model.lifetime_report()
         print(f"{label:10s}: total {r.total_kg / 1e3:9.0f} t over "
               f"{system.lifetime_years:.0f}y  "
@@ -76,7 +76,7 @@ def main() -> None:
     print(f"  reuse DRAM [38] : {dram / 1e3:8.1f} t avoided "
           "(DDR4 pooled into new servers)")
     storage = ComponentLifecycle("hdd", count=1,
-                                 embodied_kg_each=breakdown["storage"])
+                                 embodied_kg_per_unit=breakdown["storage"])
     print(f"  reuse storage   : {storage.reuse_fleet_savings() / 1e3:8.1f} t "
           f"vs recycling {storage.recycle_fleet_savings() / 1e3:.2f} t "
           f"({storage.reuse_fleet_savings() / storage.recycle_fleet_savings():.0f}x)")

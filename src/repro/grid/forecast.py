@@ -17,6 +17,13 @@ trace, then :meth:`Forecaster.predict` returns a
 :class:`~repro.grid.intensity.CarbonIntensityTrace` of ``horizon_steps``
 samples starting at the end of the history.  Forecasts are clipped at
 zero (intensity is non-negative).
+
+A forecast is a pure function of the history, and a longer forecast
+extends a shorter one: ``predict(n).values[:m]`` equals
+``predict(m).values`` bit for bit.  :meth:`Forecaster.forecast` relies
+on both to memoize — the policies that poll a forecaster on every
+scheduling pass or tick fit once per distinct history window and
+predict once per longest horizon asked for since that fit.
 """
 
 from __future__ import annotations
@@ -46,6 +53,10 @@ class Forecaster(ABC):
 
     def __init__(self) -> None:
         self._history: CarbonIntensityTrace | None = None
+        #: memo of :meth:`forecast`: the key of the history it fit on,
+        #: and the longest forecast predicted since that fit
+        self._memo_key: tuple | None = None
+        self._memo: CarbonIntensityTrace | None = None
 
     @property
     def history(self) -> CarbonIntensityTrace:
@@ -56,7 +67,34 @@ class Forecaster(ABC):
     def fit(self, history: CarbonIntensityTrace) -> "Forecaster":
         """Record the history the next :meth:`predict` extrapolates from."""
         self._history = history
+        self._memo_key = self._memo = None
         return self
+
+    def forecast(self, history: CarbonIntensityTrace,
+                 horizon_steps: int) -> CarbonIntensityTrace:
+        """``fit(history).predict(horizon_steps)``, memoized.
+
+        Refits only when ``history`` differs from the one the memo was
+        fit on — in start time, step, zone or any value bit — and any
+        :meth:`fit` in between drops the memo.  Predicts only when the
+        horizon exceeds the longest forecast made since that fit; a
+        shorter horizon is served as a prefix of it.
+        """
+        if horizon_steps < 1:
+            raise ValueError("horizon_steps must be >= 1")
+        key = (history.start_time, history.step_seconds, history.zone,
+               history.values.tobytes())
+        if key != self._memo_key:
+            self.fit(history)
+            self._memo_key = key
+        memo = self._memo
+        if memo is None or len(memo) < horizon_steps:
+            memo = self._memo = self.predict(horizon_steps)
+        if len(memo) == horizon_steps:
+            return memo
+        return CarbonIntensityTrace(memo.values[:horizon_steps],
+                                    memo.step_seconds, memo.start_time,
+                                    memo.zone)
 
     @abstractmethod
     def _forecast_values(self, n: int) -> np.ndarray:

@@ -177,6 +177,54 @@ class CarbonIntensityTrace:
         vals = self.values[np.clip(idx, 0, len(self) - 1)]
         return float(np.dot(vals, overlaps))
 
+    def window_means(self, t0: float, duration_s: float, n: int) -> np.ndarray:
+        """Mean intensity over ``[t0 + k*step, t0 + k*step + duration_s)``
+        for ``k = 0..n`` (g/kWh), as an array of ``n + 1`` means.
+
+        The sliding form of :meth:`mean_over` in one pass: the whole
+        samples inside each window come from a compensated prefix sum,
+        so each mean is accurate to a few ulps of itself however large
+        the running total grows; the partial first and last samples are
+        weighted exactly.  Where :meth:`integrate_intensity` clamps, this
+        raises ``ValueError`` if any window reaches outside
+        ``[start_time, end_time]``.
+        """
+        if duration_s <= 0:
+            raise ValueError(f"window duration must be positive, got {duration_s}")
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
+        step = self.step_seconds
+        a = t0 - self.start_time
+        b = a + duration_s
+        if a < 0 or b + n * step > self.duration:
+            raise ValueError(
+                f"windows [{t0}, {t0 + n * step + duration_s}) reach outside "
+                f"the trace [{self.start_time}, {self.end_time})")
+        j0, f0 = divmod(a, step)
+        j1, f1 = divmod(b, step)
+        j0, j1 = int(j0), int(j1)
+        v = self.values
+        head = v[j0:j0 + n + 1]
+        if j1 == j0:  # each window lies inside one sample
+            return head.copy()
+        # v[j1 + n] exists unless the last window ends exactly at end_time
+        # (f1 == 0), where padding it with 0 adds nothing
+        tail = v[j1:j1 + n + 1]
+        if tail.size < n + 1:
+            tail = np.append(tail, np.zeros(n + 1 - tail.size))
+        # whole samples j0+k+1 .. j1+k-1 of window k: differences of a
+        # running sum, plus the running sum of its rounding errors
+        # (the error of each addition by TwoSum; np.cumsum is sequential)
+        inner = v[j0 + 1:j1 + n]
+        acc = np.concatenate(([0.0], np.cumsum(inner)))
+        added = acc[1:] - acc[:-1]
+        err = (acc[:-1] - (acc[1:] - added)) + (inner - added)
+        lost = np.concatenate(([0.0], np.cumsum(err)))
+        m = j1 - j0 - 1
+        whole = ((acc[m:m + n + 1] - acc[:n + 1])
+                 + (lost[m:m + n + 1] - lost[:n + 1]))
+        return ((step - f0) * head + step * whole + f1 * tail) / duration_s
+
     def carbon_for_power(self, power_watts: float, t0: float, t1: float) -> float:
         """Operational carbon (gCO2e) of a constant ``power_watts`` load over ``[t0, t1)``."""
         kw = power_watts / units.WATTS_PER_KW

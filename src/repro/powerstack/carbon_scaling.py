@@ -125,7 +125,9 @@ class ForecastScalingPolicy(PowerBudgetPolicy):
 
     The inner policy is evaluated against the mean *forecast* intensity
     over ``horizon_s``, so short spikes do not bounce the budget (which
-    would churn every running job's caps).
+    would churn every running job's caps).  The forecaster is polled
+    through its memo (:meth:`~repro.grid.forecast.Forecaster.forecast`),
+    so ticks that see the same history window share one fit.
     """
 
     def __init__(self, inner: PowerBudgetPolicy,
@@ -156,10 +158,8 @@ class ForecastScalingPolicy(PowerBudgetPolicy):
         if now - t0 < 2 * units.SECONDS_PER_HOUR:
             return self.inner.budget(provider, now)
         history = self._service_for(provider).history(t0, now)
-        self.forecaster.fit(history)
         steps = max(1, int(np.ceil(self.horizon_s / history.step_seconds)))
-        forecast = self.forecaster.predict(steps)
-        smoothed = forecast.mean()
+        smoothed = self.forecaster.forecast(history, steps).mean()
 
         class _Spot:
             """Present the smoothed value as the spot intensity."""

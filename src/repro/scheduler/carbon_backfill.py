@@ -13,6 +13,17 @@ each startable job the policy compares the forecast mean intensity over
 times within the slack window; it holds the job when starting later
 saves at least ``min_saving_fraction``.
 
+Cost: the gate runs for every startable job of every pass, so it forecasts
+through :meth:`~repro.grid.forecast.Forecaster.forecast`, the forecaster's
+memo — all jobs of a pass (and passes within one history sample) share
+one trailing-history window, so the forecaster refits once per distinct
+window and predicts once per longest horizon since that fit, serving
+shorter horizons as prefixes.  The candidate start times ``now + k·step``
+are scanned in one vectorized pass,
+:meth:`~repro.grid.intensity.CarbonIntensityTrace.window_means`, over a
+compensated prefix sum of the forecast.  The horizon runs one step past
+the last window, so the scan never reaches outside the forecast.
+
 Starvation safety: a job whose accumulated wait exceeds ``max_delay_s``
 bypasses the gate unconditionally, so the policy degrades to plain EASY
 under persistent red skies.  The head job's reservation logic is
@@ -99,9 +110,9 @@ class CarbonBackfillPolicy(SchedulerPolicy):
             history = self._service_for(ctx.provider).history(t0, ctx.now)
         except ValueError:
             return None
-        self.forecaster.fit(history)
+        # one step past the horizon, so the last window ends inside it
         steps = int(np.ceil(horizon_s / history.step_seconds)) + 1
-        return self.forecaster.predict(max(1, steps))
+        return self.forecaster.forecast(history, max(1, steps))
 
     def _should_hold(self, ctx: SchedulingContext, job: Job) -> bool:
         """True when delaying this job promises enough carbon savings."""
@@ -115,22 +126,19 @@ class CarbonBackfillPolicy(SchedulerPolicy):
         forecast = self._forecast(ctx, slack + runtime)
         if forecast is None:
             return False
-        # mean CI if started now vs best start within the slack window
-        now_mean = forecast.mean_over(forecast.start_time,
-                                      forecast.start_time + runtime)
-        step = forecast.step_seconds
-        n_starts = int(slack // step)
-        best = now_mean
-        for k in range(1, n_starts + 1):
-            s = forecast.start_time + k * step
-            e = min(s + runtime, forecast.end_time)
-            if e <= s:
-                break
-            m = forecast.mean_over(s, e)
-            if m < best:
-                best = m
+        return self._hold_for_greener(forecast, runtime, slack)
+
+    def _hold_for_greener(self, forecast, runtime_s: float,
+                          slack_s: float) -> bool:
+        """True when a start ``k·step`` into ``forecast`` (``k·step <=
+        slack_s``) beats starting now by ``min_saving_fraction``."""
+        means = forecast.window_means(
+            forecast.start_time, runtime_s,
+            int(slack_s // forecast.step_seconds))
+        now_mean = float(means[0])
         if now_mean <= 0:
             return False
+        best = float(means.min())
         return (now_mean - best) / now_mean >= self.min_saving_fraction
 
     # -- policy ------------------------------------------------------------------

@@ -20,7 +20,7 @@ def sample_report(job_id=1):
     return JobCarbonReport(
         job_id=job_id, user="alice", project="climate", n_nodes=8,
         runtime_s=7200.0, energy_kwh=33.1, carbon_kg=9.93,
-        mean_intensity=300.0, green_fraction=0.25,
+        mean_intensity_g_per_kwh=300.0, green_fraction=0.25,
         overallocation_waste_kwh=4.1,
         analogy="~= driving a car for 83 km")
 

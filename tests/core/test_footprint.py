@@ -37,7 +37,7 @@ class TestBlendedIntensity:
 class TestFootprintModel:
     def make(self, ci=300.0):
         return FootprintModel(embodied_kg=3000.0, avg_power_watts=400.0,
-                              lifetime_years=5.0, grid_intensity=ci)
+                              lifetime_years=5.0, grid_intensity_g_per_kwh=ci)
 
     def test_operational_closed_form(self):
         m = self.make(ci=100.0)

@@ -6,6 +6,7 @@ import pytest
 from repro.grid import (
     ARForecaster,
     CarbonIntensityTrace,
+    EnsembleForecaster,
     ExponentialSmoothingForecaster,
     OracleForecaster,
     PersistenceForecaster,
@@ -139,3 +140,98 @@ class TestForecastSkill:
         # the public API because empty traces cannot be built at all
         with pytest.raises(ValueError):
             CarbonIntensityTrace(np.array([]), HOUR)
+
+
+# -- prefix property and the forecast memo ---------------------------------
+
+FORECASTERS = {
+    "persistence": PersistenceForecaster,
+    "seasonal-naive": SeasonalNaiveForecaster,
+    "exp-smoothing": ExponentialSmoothingForecaster,
+    "ar4": lambda: ARForecaster(order=4),
+    "ensemble": EnsembleForecaster,
+    "oracle": lambda: OracleForecaster(SyntheticProvider("DE", seed=7)),
+}
+
+
+def de_history(t0, t1):
+    return SyntheticProvider("DE", seed=7).history(t0, t1)
+
+
+def same_bits(a, b):
+    return a.values.tobytes() == b.values.tobytes()
+
+
+class CountingCalls:
+    """Count fit and predict calls on one forecaster instance."""
+
+    def __init__(self, fc):
+        self.fits = self.predicts = 0
+        fit, predict = fc.fit, fc.predict
+
+        def counted_fit(history):
+            self.fits += 1
+            return fit(history)
+
+        def counted_predict(n):
+            self.predicts += 1
+            return predict(n)
+        fc.fit, fc.predict = counted_fit, counted_predict
+
+
+@pytest.mark.parametrize("name", sorted(FORECASTERS))
+class TestPrefixAndMemo:
+    HISTORIES = {"week": (2 * DAY, 9 * DAY),
+                 "under-one-period": (2 * DAY, 2 * DAY + 10 * HOUR)}
+
+    @pytest.mark.parametrize("window", sorted(HISTORIES))
+    def test_longer_forecast_extends_shorter_bitwise(self, name, window):
+        fc = FORECASTERS[name]().fit(de_history(*self.HISTORIES[window]))
+        long = fc.predict(100)
+        for m in (1, 2, 7, 24, 25, 99, 100):
+            assert long.values[:m].tobytes() == fc.predict(m).values.tobytes()
+
+    def test_memo_serves_prefixes_and_extends(self, name):
+        history = de_history(2 * DAY, 9 * DAY)
+        fc = FORECASTERS[name]()
+        calls = CountingCalls(fc)
+        fresh = FORECASTERS[name]().fit(history)
+        for n in (5, 30, 10, 30, 1, 60):
+            got = fc.forecast(history, n)
+            want = fresh.predict(n)
+            assert same_bits(got, want)
+            assert (got.start_time, got.step_seconds, got.zone) == (
+                want.start_time, want.step_seconds, want.zone)
+        assert calls.fits == 1
+        assert calls.predicts == 3  # horizons 5, 30 and 60
+
+    def test_new_history_refits(self, name):
+        fc = FORECASTERS[name]()
+        calls = CountingCalls(fc)
+        a = de_history(2 * DAY, 9 * DAY)
+        shifted = a.shift(HOUR)  # same values, later start
+        bumped = CarbonIntensityTrace(
+            np.nextafter(a.values, np.inf), a.step_seconds, a.start_time,
+            a.zone)  # same window, every value one ulp up
+        copy = a.window(a.start_time, a.end_time)  # equal, new object
+        for history in (a, copy, shifted, a, bumped):
+            got = fc.forecast(history, 24)
+            assert same_bits(got, FORECASTERS[name]().fit(history).predict(24))
+            assert got.start_time == history.end_time
+        assert calls.fits == 4  # the equal copy is a memo hit
+
+    def test_outside_fit_drops_memo(self, name):
+        a = de_history(2 * DAY, 9 * DAY)
+        b = de_history(12 * DAY, 19 * DAY)
+        fc = FORECASTERS[name]()
+        fc.forecast(a, 24)
+        fc.fit(b)
+        assert same_bits(fc.forecast(a, 12),
+                         FORECASTERS[name]().fit(a).predict(12))
+        fc.fit(b)
+        assert same_bits(fc.forecast(b, 48),
+                         FORECASTERS[name]().fit(b).predict(48))
+
+    def test_horizon_validated(self, name):
+        with pytest.raises(ValueError, match="horizon"):
+            FORECASTERS[name]().forecast(de_history(0.0, DAY), 0)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.grid import CarbonIntensityTrace
 
@@ -131,6 +131,62 @@ class TestIntegration:
         whole = t.integrate_intensity(0, end)
         parts = t.integrate_intensity(0, mid) + t.integrate_intensity(mid, end)
         assert whole == pytest.approx(parts, rel=1e-9, abs=1e-6)
+
+
+class TestWindowMeans:
+    def test_sliding_means(self):
+        t = make([100, 200, 400], start=HOUR)
+        np.testing.assert_allclose(t.window_means(HOUR, HOUR, 2),
+                                   [100, 200, 400], rtol=1e-15)
+        # 1.5 h windows starting on the hour, then half an hour in
+        np.testing.assert_allclose(t.window_means(HOUR, 1.5 * HOUR, 1),
+                                   [400 / 3, 800 / 3], rtol=1e-15)
+        np.testing.assert_allclose(t.window_means(1.5 * HOUR, 1.5 * HOUR, 0),
+                                   [t.mean_over(1.5 * HOUR, 3 * HOUR)],
+                                   rtol=1e-15)
+        # windows inside one sample
+        np.testing.assert_array_equal(
+            t.window_means(1.25 * HOUR, 0.5 * HOUR, 2), [100, 200, 400])
+
+    def test_last_window_may_end_at_end_time(self):
+        t = make([100, 200, 400])
+        np.testing.assert_allclose(t.window_means(0.0, 2 * HOUR, 1),
+                                   [150, 300], rtol=1e-15)
+        np.testing.assert_allclose(t.window_means(0.5 * HOUR, 1.5 * HOUR, 1),
+                                   [t.mean_over(0.5 * HOUR, 2 * HOUR),
+                                    t.mean_over(1.5 * HOUR, 3 * HOUR)],
+                                   rtol=1e-15)
+
+    @given(st.lists(st.floats(0, 1000), min_size=2, max_size=72),
+           st.integers(0, 10_000), st.integers(1, 30_000), st.integers(0, 20))
+    @settings(max_examples=100)
+    def test_matches_mean_over_per_window(self, vals, offset_s, duration_s,
+                                          n):
+        t = make(vals, start=HOUR)
+        t0 = HOUR + offset_s
+        assume(t0 + n * HOUR + duration_s <= t.end_time)
+        got = t.window_means(float(t0), float(duration_s), n)
+        want = [t.mean_over(t0 + k * HOUR, t0 + k * HOUR + duration_s)
+                for k in range(n + 1)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_windows_outside_trace_raise(self):
+        """Explicit edge: no silent clamping, unlike integrate_intensity."""
+        t = make([100, 200])  # covers [0, 2 h)
+        with pytest.raises(ValueError, match="outside"):
+            t.window_means(0.0, HOUR, 2)  # third window is [2 h, 3 h)
+        with pytest.raises(ValueError, match="outside"):
+            t.window_means(HOUR, 1.5 * HOUR, 0)
+        with pytest.raises(ValueError, match="outside"):
+            t.window_means(-1.0, HOUR, 0)
+        assert t.integrate_intensity(HOUR, 3 * HOUR) == 400 * HOUR  # clamps
+
+    def test_arguments_validated(self):
+        t = make([100, 200])
+        with pytest.raises(ValueError, match="duration"):
+            t.window_means(0.0, 0.0, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            t.window_means(0.0, HOUR, -1)
 
 
 class TestTransforms:
