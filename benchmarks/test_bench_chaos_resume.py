@@ -5,9 +5,10 @@ The claim under test is the crash-safety contract of :mod:`repro.chaos`
 journal is SIGKILLed mid-run — the whole process group, parent and
 pool workers, the shape of a node loss — and a ``resume=True`` rerun
 must produce rows **bit-identical** to the uninterrupted run while
-re-executing *zero* journaled cells.  The waste (work paid twice) is
-therefore bounded by the cells in flight at kill time, strictly less
-than one chunk of the plain executor.
+re-executing *zero* journaled cells — checked on the journal itself:
+no cell index journaled before the kill is journaled again by the
+resume.  The waste (work paid twice) is therefore bounded by the cells
+in flight at kill time.
 
 The kill is driven by the journal itself: the parent waits until the
 subprocess has durably recorded ``KILL_AFTER_CELLS`` outcomes, so the
@@ -45,14 +46,18 @@ run_sweep(spin_cell,
 """
 
 
-def journaled_cells(journal_path):
+def ok_records(journal_path):
     """Completed-cell records durably in the journal (header excluded)."""
     try:
         _, records = SweepJournal.read(journal_path)
     except JournalError:  # not created / header still in flight
-        return 0
-    return sum(1 for r in records
-               if r.get("kind") == "cell" and r.get("status") == "ok")
+        return []
+    return [r for r in records
+            if r.get("kind") == "cell" and r.get("status") == "ok"]
+
+
+def journaled_cells(journal_path):
+    return len(ok_records(journal_path))
 
 
 def interrupt_mid_sweep(journal_path):
@@ -88,7 +93,8 @@ def test_bench_chaos_resume(benchmark, tmp_path):
     assert len(uninterrupted.rows) == 64
 
     killed = interrupt_mid_sweep(journal)
-    survived = journaled_cells(journal)
+    before_kill = ok_records(journal)
+    survived = len(before_kill)
     assert survived >= KILL_AFTER_CELLS, (
         f"journal holds {survived} cells; the fsync'd write-ahead "
         f"journal lost completed work")
@@ -106,9 +112,12 @@ def test_bench_chaos_resume(benchmark, tmp_path):
     # ---- waste: no journaled cell is ever re-executed ----
     assert resumed.stats.n_replayed == survived
     assert resumed.stats.n_executed == 64 - survived
-    chunk = max(1, 64 // max(1, uninterrupted.stats.n_chunks))
-    re_executed_completed = 0  # by construction: replay covers them all
-    assert re_executed_completed < chunk
+    journaled_before = {r["index"] for r in before_kill}
+    after_resume = ok_records(journal)[survived:]
+    re_executed_completed = sum(1 for r in after_resume
+                                if r["index"] in journaled_before)
+    assert re_executed_completed == 0
+    assert len(after_resume) == 64 - survived
 
     report(
         "E23 — crash-safe sweep: kill, resume, parity (extension)",
@@ -119,8 +128,8 @@ def test_bench_chaos_resume(benchmark, tmp_path):
             f" with {survived} cells journaled",
             f"resume:   {resumed.stats.n_replayed} replayed + "
             f"{resumed.stats.n_executed} executed = 64",
-            f"waste:    {re_executed_completed} completed cells "
-            f"re-executed (< 1 chunk of {chunk})",
+            f"waste:    {re_executed_completed} of {survived} cells "
+            f"journaled before the kill journaled again by the resume",
             f"wall:     {resumed.stats.wall_s:8.2f} s resumed vs "
             f"{uninterrupted.stats.wall_s:8.2f} s uninterrupted",
             "parity:   rows bit-identical to the uninterrupted run",

@@ -71,7 +71,7 @@ def test_bench_parallel_sweep(benchmark):
             f"workers={WORKERS}, cores visible: {cores}",
             f"serial:   {serial.stats.wall_s:8.2f} s wall",
             f"parallel: {parallel.stats.wall_s:8.2f} s wall "
-            f"({parallel.stats.n_chunks} chunks)",
+            f"({parallel.stats.n_chunks} batches)",
             f"speedup:  {speedup:8.2f}x "
             + ("(>= 2x asserted)" if cores >= WORKERS else
                "(not asserted: too few cores visible)"),

@@ -37,7 +37,7 @@ def run_procurement():
                for ci in (20.0, 300.0, 1025.0)}
     shifts = {ci: shift_embodied_to_operational(r, max(ci, 1.0), 720.0)
               for ci, r in results.items()}
-    zi = {z: p.mean_intensity for z, p in EUROPE_JAN2023.items()}
+    zi = {z: p.mean_intensity_g_per_kwh for z, p in EUROPE_JAN2023.items()}
     ranking = carbon500_ranking(zone_intensities=zi)
     return results, shifts, ranking
 

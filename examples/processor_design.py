@@ -29,7 +29,7 @@ UTILIZATION = 0.01  # a poorly-amortized accelerator: embodied matters
 
 def main() -> None:
     # 1. site assessment: where will the silicon run?
-    sites = {code: get_zone(code).mean_intensity for code in ("NO", "DE", "PL")}
+    sites = {code: get_zone(code).mean_intensity_g_per_kwh for code in ("NO", "DE", "PL")}
     print("target sites (mean grid intensity, gCO2/kWh):")
     for code, ci in sites.items():
         print(f"  {code}: {ci:.0f}")

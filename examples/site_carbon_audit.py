@@ -83,7 +83,7 @@ def main() -> None:
 
     # 5. Carbon500 position
     print()
-    zi = {z: p.mean_intensity for z, p in EUROPE_JAN2023.items()}
+    zi = {z: p.mean_intensity_g_per_kwh for z, p in EUROPE_JAN2023.items()}
     print(render_carbon500(carbon500_ranking(zone_intensities=zi)))
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro import units
-from repro._compat import dataclass_kwarg_aliases
 from repro.accounting.analogies import describe
 from repro.grid.green import find_green_periods
 from repro.grid.providers import CarbonIntensityProvider
@@ -29,7 +28,6 @@ from repro.simulator.jobs import Job
 __all__ = ["JobCarbonReport", "build_job_report", "render_report"]
 
 
-@dataclass_kwarg_aliases(mean_intensity="mean_intensity_g_per_kwh")
 @dataclass(frozen=True)
 class JobCarbonReport:
     """The carbon profile of one completed job."""
@@ -49,11 +47,6 @@ class JobCarbonReport:
     def __post_init__(self) -> None:
         if self.energy_kwh < 0 or self.carbon_kg < 0:
             raise ValueError("energy and carbon must be non-negative")
-
-    @property
-    def mean_intensity(self) -> float:
-        """Deprecated alias for :attr:`mean_intensity_g_per_kwh`."""
-        return self.mean_intensity_g_per_kwh
 
 
 def build_job_report(job: Job, account: JobAccount,

@@ -109,7 +109,8 @@ class SweepStats:
     """Execution record of one sweep run.
 
     ``cell_times_s`` is ordered by canonical cell index over the cells
-    that actually executed (all of them, except after a strict abort).
+    this run actually executed (all of them, except replayed ones and
+    after a strict abort).
     ``mode`` is ``"serial"``, ``"process-pool"``, or
     ``"serial-fallback"`` (with ``fallback_reason`` saying why the pool
     was not used).  Wall clock includes pool startup — speedup claims
@@ -117,6 +118,9 @@ class SweepStats:
     """
 
     n_cells: int
+    #: batches submitted to the execution loop, retried attempts
+    #: included (one batch holds as many cells as fit in its 50 ms
+    #: budget at the measured cell time)
     n_chunks: int
     workers: int
     mode: str
@@ -208,7 +212,6 @@ def sweep(scenario: Callable[..., Mapping[str, float]],
           metric_names: Optional[Sequence[str]] = None,
           *,
           workers: Optional[int] = 1,
-          chunk_size: int = 0,
           strict: bool = True,
           base_seed: Optional[int] = None,
           seed_param: str = "seed",
@@ -235,16 +238,18 @@ def sweep(scenario: Callable[..., Mapping[str, float]],
     (``repro obs trace``).  Tracing never changes the rows.
 
     The robustness keywords (``journal_path``/``resume``/
-    ``cell_timeout_s``/``retries``/``chaos``) engage the crash-safe
-    harness of :mod:`repro.chaos`: an fsync'd JSONL journal of cell
-    outcomes, resume-from-journal with identical per-cell seeds, a
-    per-cell watchdog, bounded retry with a quarantine list on
-    ``result.quarantined``, and deterministic fault injection.  A
-    resumed run merges bit-identical to an uninterrupted one.
+    ``cell_timeout_s``/``retries``/``chaos``) are options of the one
+    execution loop, :mod:`repro.chaos.runner`: an fsync'd JSONL
+    journal of cell outcomes, resume-from-journal with identical
+    per-cell seeds, a per-cell watchdog, bounded retry with a
+    quarantine list on ``result.quarantined``, and deterministic fault
+    injection.  A resumed run merges bit-identical to an uninterrupted
+    one.  A worker death quarantines the cell it killed even with none
+    of them set.
     """
     from repro.parallel.executor import run_sweep
     return run_sweep(scenario, grid, metric_names,
-                     workers=workers, chunk_size=chunk_size,
+                     workers=workers,
                      strict=strict, base_seed=base_seed,
                      seed_param=seed_param,
                      journal_path=journal_path, resume=resume,

@@ -102,6 +102,21 @@ _FINGERPRINT_FIELDS = ("version", "n_cells", "grid_hash", "scenario",
                        "base_seed", "seed_param")
 
 
+def _drop_torn_tail(path: Path) -> None:
+    """Cut a torn final line off before appending to a journal.
+
+    :meth:`SweepJournal.read` skips a torn *final* line, but the next
+    append would glue a new record onto it, turning the tail into a
+    corrupt middle line that every later resume refuses.
+    """
+    with open(path, "rb+") as fh:
+        keep = fh.read().rfind(b"\n") + 1
+        if keep < fh.tell():
+            fh.truncate(keep)
+            fh.flush()
+            os.fsync(fh.fileno())
+
+
 class SweepJournal:
     """Append-only JSONL journal of one sweep's cell outcomes.
 
@@ -144,6 +159,7 @@ class SweepJournal:
             for rec in records:
                 if rec.get("kind") == "cell" and rec.get("status") == "ok":
                     replay[int(rec["index"])] = rec
+            _drop_torn_tail(path)
         else:
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(path, "w", encoding="utf-8") as fh:

@@ -1,38 +1,42 @@
-"""Crash-safe sweep execution: journal, watchdog, retry, quarantine.
+"""The sweep execution loop: batched, serial or pool, crash-safe.
 
-This is the robust counterpart of the plain chunked pool loop in
-:mod:`repro.parallel.executor` — ``run_sweep`` routes here whenever
-any robustness feature (journal, resume, watchdog timeout, retries, a
-chaos plan) is requested.  The determinism contract is unchanged:
-cells are keyed on canonical grid index, seeds are
-``derive_seed(base_seed, cell_index)``, and results merge in grid
-order, so a journaled-and-resumed or fault-ridden-and-retried sweep
-produces rows bit-identical to an uninterrupted serial run.
+Every sweep ``run_sweep`` starts — plain or robust, one worker or
+many — executes here, in :func:`execute_robust`.  Journal, resume,
+retries, the watchdog and a chaos plan are options of this one loop,
+not a second path, so a robust sweep cannot drift from a plain one.
+The determinism contract: cells are keyed on canonical grid index,
+seeds are ``derive_seed(base_seed, cell_index)``, and results merge in
+grid order, so a journaled-and-resumed or fault-ridden-and-retried
+sweep produces rows bit-identical to an uninterrupted serial run.
 
-What differs from the plain path:
+How it executes:
 
-* **Cell-granular futures.**  Chunks would couple innocent cells to a
-  doomed neighbour; here every cell is its own future, so a retry or
-  quarantine has minimal blast radius (``SweepStats.n_chunks`` counts
-  submitted attempts).
+* **Batches sized from measured cell time.**  A batch holds as many
+  cells as fit in one watchdog poll period (``_MAX_POLL_S``), judged
+  by the mean time of the last finished batch's successful cells; it
+  holds one cell until the first timing arrives, and a cell slower
+  than the budget always runs alone, so long-cell sweeps keep
+  per-cell durability and blast radius (``SweepStats.n_chunks``
+  counts the batches submitted).  At most ``2 x workers`` batches are
+  in flight, so each ``wait()`` costs O(workers), not O(cells).
 * **Journal-as-checkpoint.**  Each finished attempt is fsync'd to the
-  JSONL journal *before* the harness moves on; a resumed run replays
+  JSONL journal *before* the loop moves on; a resumed run replays
   ``ok`` records and re-executes only missing/failed/quarantined
   cells.
-* **Watchdog.**  With ``cell_timeout_s`` set, the longest-overdue
-  running cell is quarantined ``timed_out``, the pool's workers are
-  killed and the pool respawned; bystanders that already finished
-  keep their results, the rest requeue without being charged an
-  attempt.
+* **Start/finish evidence.**  Workers record every cell attempt's
+  state in one shared array (``attempt * 4 + phase``): started but not
+  finished is the one state that means "mid-execution".
+* **Watchdog.**  With ``cell_timeout_s`` set, a cell's clock starts
+  when its state shows it running; the longest-overdue cell is
+  quarantined ``timed_out``, the pool's workers are killed and the
+  pool respawned; batches that already finished keep their results,
+  every other cell requeues without being charged an attempt.
 * **Worker-death recovery.**  A ``BrokenProcessPool`` (SIGKILL, OOM)
   charges an attempt to every cell that was mid-execution when the
-  pool died — workers bracket each attempt with start/finish markers,
-  so "mid-execution" is known even when the death outruns the
-  watchdog poll — plus any cell whose chaos plan says it killed the
-  worker; charged cells retry while budget remains, then quarantine
-  ``killed``.  Queued bystanders and cells that finished but whose
-  results went down with the pool requeue free, uncharged, and the
-  pool respawns.
+  pool died; charged cells retry while budget remains, then
+  quarantine ``killed``.  Queued cells and finished batch-mates whose
+  results went down with the pool requeue free (cells are
+  deterministic, so recomputing a lost result is bit-identical).
 * **Accounting.**  Retries, quarantines, worker deaths, and every
   injected/recovered chaos fault land in the :mod:`repro.obs`
   registry and (when tracing) as ``chaos.*`` spans.
@@ -41,20 +45,21 @@ What differs from the plain path:
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
+import pickle
 import time
+import traceback
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     CancelledError,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from multiprocessing.sharedctypes import RawArray
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -67,7 +72,12 @@ from typing import (
 )
 
 from repro import obs
-from repro.analysis.sweep import CellQuarantine
+from repro.analysis.sweep import (
+    CellFailure,
+    CellQuarantine,
+    SweepResult,
+    SweepStats,
+)
 from repro.chaos.journal import (
     JournalError,
     SweepJournal,
@@ -75,57 +85,185 @@ from repro.chaos.journal import (
     make_header,
     params_hash,
 )
-from repro.chaos.plan import ChaosPlan
 
-__all__ = ["RobustRun", "execute_robust"]
+if TYPE_CHECKING:  # plan imports repro.parallel, which imports this
+    from repro.chaos.plan import ChaosPlan
 
-#: floor/ceiling for the watchdog poll period, as a fraction of the
-#: cell timeout (poll often enough to catch a hang promptly, never so
-#: often that polling itself costs)
+__all__ = ["execute_robust"]
+
+#: watchdog poll period ceiling, and the work budget of one batch
 _MAX_POLL_S = 0.05
+#: poll period as a fraction of the cell timeout (poll often enough to
+#: catch a hang promptly, never so often that polling itself costs)
 _POLL_TIMEOUT_FRACTION = 0.25
 
+#: (cell_index, elapsed_s, metrics | None, error | None, traceback_text,
+#:  span_dicts) — spans recorded around the cell (pool workers only;
+#:  empty serially, where spans land on the live tracer directly)
+_Outcome = Tuple[int, float, Optional[Dict[str, Any]],
+                 Optional[BaseException], str, List[dict]]
+#: one cell attempt: (cell_index, attempt)
+_Attempt = Tuple[int, int]
 
-@dataclass
-class RobustRun:
-    """What a robust execution hands back to ``run_sweep``."""
+#: how cells participate in tracing: "off" (the zero-overhead default),
+#: "inline" (serial: spans go straight to the enabled process tracer),
+#: or "capture" (pool worker: spans are drained after every cell and
+#: shipped back inside the outcome tuple)
+_TRACE_OFF, _TRACE_INLINE, _TRACE_CAPTURE = "off", "inline", "capture"
 
-    outcomes: List[tuple] = field(default_factory=list)
-    quarantined: List[CellQuarantine] = field(default_factory=list)
-    n_replayed: int = 0
-    n_executed: int = 0
-    n_retried: int = 0
-    n_chunks: int = 0
+#: cell phases in the shared state array, stored as attempt * 4 + phase
+_STARTED, _FINISHED = 1, 2
 
 
-class _RobustState:
-    """Bookkeeping shared by the pool and serial robust loops."""
+def _portable_error(error: BaseException,
+                    tb_text: str = "") -> BaseException:
+    """The exception itself if it survives pickling, else a stand-in.
+
+    Worker exceptions cross a process boundary; an unpicklable one
+    (e.g. carrying an open handle) must not take the whole sweep down
+    with a ``PicklingError``, so it degrades to a ``RuntimeError``
+    carrying the original type name and message — plus, when
+    ``tb_text`` is given, the worker-side traceback as a ``__notes__``
+    entry (notes live in the instance dict, so they pickle with the
+    stand-in and ``CellFailure`` diagnostics keep the real stack
+    instead of a bare repr).
+    """
+    try:
+        pickle.loads(pickle.dumps(error))
+        return error
+    except Exception:
+        stand_in = RuntimeError(f"{type(error).__name__}: {error}")
+        if tb_text:
+            stand_in.add_note(
+                "original worker traceback:\n" + tb_text.rstrip())
+        return stand_in
+
+
+def _run_cells(batch: Sequence[_Attempt],
+               scenario: Callable[..., Mapping[str, float]],
+               params: Sequence[Dict[str, Any]],
+               tracing: str,
+               chaos: Optional["ChaosPlan"],
+               states: Optional[Any] = None) -> List[_Outcome]:
+    """Evaluate one batch of cell attempts in order.
+
+    The plan's cell-level faults fire here, on the worker side of the
+    process boundary, before the scenario runs — a ``raise`` fault is
+    indistinguishable from a scenario exception, a ``kill_worker``
+    fault from a real node loss.  ``states`` (pool workers only) gets
+    each attempt's start and finish, written before the fault fires
+    and after the outcome is built.
+    """
+    tracer = obs.get_tracer()
+    out: List[_Outcome] = []
+    for index, attempt in batch:
+        if states is not None:
+            states[index] = attempt * 4 + _STARTED
+        t0 = time.perf_counter()
+        metrics: Optional[Dict[str, Any]] = None
+        error: Optional[BaseException] = None
+        tb_text = ""
+        try:
+            if chaos is not None:
+                chaos.apply_in_worker(index, attempt)
+            if tracing == _TRACE_OFF:
+                metrics = dict(scenario(**params[index]))
+            else:
+                with obs.span("sweep.cell", attrs={"cell_index": index}):
+                    metrics = dict(scenario(**params[index]))
+        except Exception as exc:  # cell fault, not harness fault
+            tb_text = traceback.format_exc()
+            error = _portable_error(exc, tb_text)
+        elapsed_s = time.perf_counter() - t0
+        spans = ([s.to_dict() for s in tracer.drain()]
+                 if tracing == _TRACE_CAPTURE else [])
+        out.append((index, elapsed_s, metrics, error, tb_text, spans))
+        if states is not None:
+            states[index] = attempt * 4 + _FINISHED
+    return out
+
+
+#: a pool worker's share of the run, installed once per worker process
+#: by :func:`_init_worker` (the shared state array can travel only with
+#: process creation, never with a task)
+_WORKER: Dict[str, Any] = {}
+
+
+def _init_worker(states: Any,
+                 scenario: Callable[..., Mapping[str, float]],
+                 params: Sequence[Dict[str, Any]],
+                 tracing: str,
+                 chaos: Optional["ChaosPlan"]) -> None:
+    """Pool initializer; with tracing it enables the worker's tracer
+    and drops the spans fork copied from the parent's buffer."""
+    _WORKER.update(states=states, scenario=scenario, params=params,
+                   tracing=tracing, chaos=chaos)
+    if tracing == _TRACE_CAPTURE:
+        tracer = obs.get_tracer()
+        tracer.enable()
+        tracer.worker = f"worker-{os.getpid()}"
+        tracer.drain()
+
+
+def _run_batch(batch: Sequence[_Attempt]) -> List[_Outcome]:
+    """Pool task: one batch (module-level, pickled by reference)."""
+    return _run_cells(batch, **_WORKER)
+
+
+class _RunState:
+    """Bookkeeping of one sweep run, shared by the pool and serial
+    loops: the pending queue, outcomes, quarantine, and accounting."""
 
     def __init__(self, scenario: Callable[..., Mapping[str, float]],
                  cells: Sequence[Dict[str, Any]],
-                 indexed: Sequence[Tuple[int, Dict[str, Any]]],
-                 strict_unused: bool,
+                 params: Sequence[Dict[str, Any]],
                  tracing: str,
                  retries: int,
-                 chaos: Optional[ChaosPlan],
+                 chaos: Optional["ChaosPlan"],
                  journal: Optional[SweepJournal]) -> None:
         self.scenario = scenario
         self.cells = cells
-        self.indexed = {i: (i, p) for i, p in indexed}
+        self.params = params
         self.tracing = tracing
         self.retries = retries
         self.chaos = chaos
         self.journal = journal
-        self.outcomes: Dict[int, tuple] = {}
+        self.pending: "deque[_Attempt]" = deque()
+        self.outcomes: Dict[int, _Outcome] = {}
         self.quarantine: Dict[int, CellQuarantine] = {}
         #: chaos fault kinds already fired per cell (for recovery stats)
         self.fired_kinds: Dict[int, List[str]] = {}
         #: (cell, attempt) pairs whose injections are already counted
-        self.injections_noted: Set[Tuple[int, int]] = set()
+        self.injections_noted: Set[_Attempt] = set()
         self.executed: Set[int] = set()
         self.n_retried = 0
-        self.n_attempts_submitted = 0
+        self.n_failed = 0
+        self.n_batches = 0
+        #: mean time of the successful cells of the last batch that had
+        #: any (None: no timing yet)
+        self.cell_time_s: Optional[float] = None
         self.reg = obs.metrics()
+
+    # -- batching ------------------------------------------------------------
+
+    def take_batch(self) -> List[_Attempt]:
+        """Pop the next batch: as many cells as fit in ``_MAX_POLL_S``
+        at the last measured cell time, one before any timing."""
+        size = 1
+        if self.cell_time_s is not None:
+            size = (len(self.pending) if self.cell_time_s <= 0
+                    else max(1, int(_MAX_POLL_S / self.cell_time_s)))
+        batch = [self.pending.popleft()
+                 for _ in range(min(size, len(self.pending)))]
+        for index, attempt in batch:
+            self.note_injections(index, attempt)
+            self.executed.add(index)
+        self.n_batches += 1
+        return batch
+
+    def requeue(self, attempts: Sequence[_Attempt]) -> None:
+        """Put attempts back at the head of the queue, in order."""
+        self.pending.extendleft(reversed(attempts))
 
     # -- accounting ----------------------------------------------------------
 
@@ -157,35 +295,49 @@ class _RobustState:
         if attempt > 1:
             self.reg.counter("sweep.cells_recovered_total").inc()
 
-    def charge_retry(self) -> None:
+    def charge_retry(self, attempt: int) -> bool:
+        """Charge a retry if budget remains; False when exhausted."""
+        if attempt >= self.retries + 1:
+            return False
         self.n_retried += 1
         self.reg.counter("sweep.cells_retried_total").inc()
+        return True
 
     # -- outcome handling ----------------------------------------------------
 
-    def record_ok(self, outcome: tuple, attempt: int) -> None:
-        index, elapsed_s, metrics, _err, _tb, spans = outcome
-        if self.journal is not None:
-            self.journal.record_cell(
-                index, self.indexed[index][1], "ok", metrics=metrics,
-                elapsed_s=elapsed_s, attempt=attempt, spans=spans)
-        self.outcomes[index] = outcome
-        self.note_recovery(index, attempt)
-
-    def record_failed_attempt(self, outcome: tuple,
-                              attempt: int) -> None:
-        index, elapsed_s, _m, error, tb_text, _spans = outcome
-        if self.journal is not None:
-            self.journal.record_cell(
-                index, self.indexed[index][1], "failed",
-                elapsed_s=elapsed_s, attempt=attempt,
-                error=f"{type(error).__name__}: {error}",
-                traceback_text=tb_text)
-
-    def record_exhausted(self, outcome: tuple) -> None:
-        """Retry budget spent on a raising cell: keep the failure
-        outcome — it becomes an ordinary ``CellFailure`` at merge."""
-        self.outcomes[outcome[0]] = outcome
+    def settle(self, batch: Sequence[_Attempt],
+               outcomes: Sequence[_Outcome]) -> None:
+        """Record a finished batch; failed cells with budget left
+        requeue at the head of the queue for their next attempt."""
+        retry: List[_Attempt] = []
+        ok_times_s: List[float] = []
+        for (index, attempt), outcome in zip(batch, outcomes):
+            _i, elapsed_s, metrics, error, tb_text, spans = outcome
+            if error is None:
+                if self.journal is not None:
+                    self.journal.record_cell(
+                        index, self.params[index], "ok", metrics=metrics,
+                        elapsed_s=elapsed_s, attempt=attempt, spans=spans)
+                self.outcomes[index] = outcome
+                self.note_recovery(index, attempt)
+                ok_times_s.append(elapsed_s)
+                continue
+            if self.journal is not None:
+                self.journal.record_cell(
+                    index, self.params[index], "failed",
+                    elapsed_s=elapsed_s, attempt=attempt,
+                    error=f"{type(error).__name__}: {error}",
+                    traceback_text=tb_text)
+            if self.charge_retry(attempt):
+                retry.append((index, attempt + 1))
+            else:  # budget spent: a CellFailure at merge
+                self.outcomes[index] = outcome
+                self.n_failed += 1
+        self.requeue(retry)
+        # a failed attempt (often an early raise) says nothing about
+        # what a cell costs
+        if ok_times_s:
+            self.cell_time_s = sum(ok_times_s) / len(ok_times_s)
 
     def quarantine_cell(self, index: int, status: str, attempts: int,
                         detail: str) -> None:
@@ -198,13 +350,28 @@ class _RobustState:
                          labels={"status": status}).inc()
         if self.journal is not None:
             self.journal.record_quarantine(
-                index, self.indexed[index][1], status, attempts, detail)
+                index, self.params[index], status, attempts, detail)
 
-    def chaos_killed(self, index: int, attempt: int) -> bool:
-        """Did the plan SIGKILL the worker on this (cell, attempt)?"""
-        return self.chaos is not None and any(
-            f.kind == "kill_worker"
-            for f in self.chaos.cell_faults(index, attempt))
+    def classify_death(self, batch: Sequence[_Attempt],
+                       states: Any) -> None:
+        """The cells of a batch lost with a broken pool.  Charge only
+        the cell caught mid-execution (started, never finished);
+        queued and finished batch-mates requeue free, uncharged."""
+        free: List[_Attempt] = []
+        for index, attempt in batch:
+            if states[index] != attempt * 4 + _STARTED:
+                free.append((index, attempt))
+                continue
+            with obs.span("chaos.worker_death",
+                          attrs={"cell_index": index}):
+                pass
+            if self.charge_retry(attempt):
+                free.append((index, attempt + 1))
+            else:
+                self.quarantine_cell(
+                    index, "killed", attempt,
+                    "worker process died (BrokenProcessPool)")
+        self.requeue(free)
 
 
 def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
@@ -213,287 +380,203 @@ def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
         proc.kill()
 
 
-def _run_cell_marked(marker_dir: str,
-                     scenario: Callable[..., Mapping[str, float]],
-                     indexed_cells: Sequence[Tuple[int, Dict[str, Any]]],
-                     stop_on_error: bool,
-                     tracing: str,
-                     chaos: Optional[ChaosPlan],
-                     attempt: int) -> List[tuple]:
-    """Worker side of one robust attempt, bracketed by markers.
+class _Watchdog:
+    """Per-cell clocks for the batches in flight.
 
-    The markers are the parent's only reliable evidence of what this
-    (cell, attempt) was doing when its worker died: a broken pool
-    fails every outstanding future wholesale, and ``Future.running()``
-    is useless — it flips true when the item enters the call queue,
-    not when a worker picks it up, and a fast cell can *finish* with
-    its result still undelivered when the pool is declared broken.
-    Start-without-finish is the one state that means "mid-execution".
-    Must stay module-level (pickled by reference into pool workers).
+    Each batch runs its cells in order, so its running cell is the
+    first one whose state is not finished; a cursor per batch makes a
+    poll cost O(batches in flight), not O(cells).  A cell's clock
+    starts at the first poll that sees its state running.
     """
-    from repro.parallel.executor import _run_cells
 
-    index = indexed_cells[0][0]
-    base = os.path.join(marker_dir, f"{index}.{attempt}")
-    with open(base, "w", encoding="utf-8"):
-        pass
-    outcomes = _run_cells(scenario, indexed_cells, stop_on_error,
-                          tracing, chaos, attempt)
-    with open(base + ".done", "w", encoding="utf-8"):
-        pass
-    return outcomes
+    def __init__(self, timeout_s: float) -> None:
+        self.timeout_s = timeout_s
+        #: future -> (position of its first unfinished cell, clock start)
+        self.cursor: Dict[Future, Tuple[int, Optional[float]]] = {}
+
+    def overdue(self, in_flight: Mapping[Future, List[_Attempt]],
+                states: Any) -> Optional[Tuple[Future, int]]:
+        """The longest-overdue running cell, as (future, position)."""
+        now_s = time.perf_counter()
+        worst: Optional[Tuple[float, Future, int]] = None
+        for fut, batch in in_flight.items():
+            k, since_s = self.cursor.get(fut, (0, None))
+            k0 = k
+            while (k < len(batch) and states[batch[k][0]]
+                   == batch[k][1] * 4 + _FINISHED):
+                k += 1
+            if k != k0:
+                since_s = None
+            if (since_s is None and k < len(batch)
+                    and states[batch[k][0]] == batch[k][1] * 4 + _STARTED):
+                since_s = now_s
+            self.cursor[fut] = (k, since_s)
+            if since_s is not None and now_s - since_s > self.timeout_s:
+                if worst is None or now_s - since_s > worst[0]:
+                    worst = (now_s - since_s, fut, k)
+        return None if worst is None else worst[1:]
 
 
-def _run_pool(state: _RobustState, pending: "deque[Tuple[int, int]]",
-              workers: int,
+def _run_pool(run: _RunState, workers: int,
               cell_timeout_s: Optional[float]) -> None:
-    """Drive the cell-granular pool until every cell is resolved."""
+    """Drive batches through a process pool until every cell is
+    resolved, respawning the pool after a worker death or a watchdog
+    kill."""
     poll_s = (_MAX_POLL_S if cell_timeout_s is None
               else min(_MAX_POLL_S,
                        cell_timeout_s * _POLL_TIMEOUT_FRACTION))
-    marker_dir = tempfile.mkdtemp(prefix="repro-sweep-started-")
-
-    def marker(index: int, attempt: int) -> str:
-        return os.path.join(marker_dir, f"{index}.{attempt}")
-
-    try:
-        while pending:
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(pending)))
-            fut_info: Dict[Any, Tuple[int, int]] = {}
-            running_since: Dict[Any, float] = {}
-            broken = False
-            death_counted = False
-
-            def submit(index: int, attempt: int) -> bool:
-                state.note_injections(index, attempt)
-                state.executed.add(index)
-                state.n_attempts_submitted += 1
-                try:
-                    fut = pool.submit(_run_cell_marked, marker_dir,
-                                      state.scenario,
-                                      [state.indexed[index]], False,
-                                      state.tracing, state.chaos,
-                                      attempt)
-                except (BrokenProcessPool, RuntimeError):
-                    pending.append((index, attempt))
-                    return False
-                fut_info[fut] = (index, attempt)
-                return True
-
-            def requeue_free(index: int, attempt: int) -> None:
-                """Requeue with no attempt charged, scrubbing the
-                markers first — the same attempt resubmits, and a
-                stale start marker would wrongly convict the cell at
-                the next worker death."""
-                for path in (marker(index, attempt),
-                             marker(index, attempt) + ".done"):
+    states = RawArray("i", len(run.cells))
+    while run.pending:
+        n_procs = min(workers, len(run.pending))
+        pool = ProcessPoolExecutor(
+            max_workers=n_procs, initializer=_init_worker,
+            initargs=(states, run.scenario, run.params, run.tracing,
+                      run.chaos))
+        in_flight: Dict[Future, List[_Attempt]] = {}
+        watchdog = (None if cell_timeout_s is None
+                    else _Watchdog(cell_timeout_s))
+        broken = killed = False
+        try:
+            while not (broken or killed) and (run.pending or in_flight):
+                while run.pending and len(in_flight) < 2 * n_procs:
+                    batch = run.take_batch()
                     try:
-                        os.remove(path)
-                    except OSError:
-                        pass
-                pending.append((index, attempt))
-
-            def charge_death(index: int, attempt: int) -> None:
-                with obs.span("chaos.worker_death",
-                              attrs={"cell_index": index}):
-                    pass
-                if attempt < state.retries + 1:
-                    state.charge_retry()
-                    pending.append((index, attempt + 1))
-                else:
-                    state.quarantine_cell(
-                        index, "killed", attempt,
-                        "worker process died (BrokenProcessPool)")
-
-            def classify_death(index: int, attempt: int) -> None:
-                """One future of a broken pool.  The pool fails *every*
-                outstanding future wholesale, so charge only the cells
-                caught mid-execution (started, never finished) or
-                whose plan killed the worker; queued bystanders and
-                finished-but-undelivered cells requeue free, uncharged
-                (cells are deterministic, so recomputing a lost result
-                is bit-identical)."""
-                nonlocal death_counted
-                if not death_counted:
-                    death_counted = True
-                    state.reg.counter("sweep.worker_deaths_total").inc()
-                mid_execution = (
-                    os.path.exists(marker(index, attempt))
-                    and not os.path.exists(
-                        marker(index, attempt) + ".done"))
-                if mid_execution or state.chaos_killed(index, attempt):
-                    charge_death(index, attempt)
-                else:
-                    requeue_free(index, attempt)
-
-            def settle(index: int, attempt: int,
-                       outcome: tuple) -> None:
-                """Record a harvested outcome; a retry requeues via
-                ``pending`` (both call sites are tearing the pool
-                down, so the next pool picks it up)."""
-                if outcome[3] is None:
-                    state.record_ok(outcome, attempt)
-                else:
-                    state.record_failed_attempt(outcome, attempt)
-                    if attempt < state.retries + 1:
-                        state.charge_retry()
-                        pending.append((index, attempt + 1))
-                    else:
-                        state.record_exhausted(outcome)
-
-            try:
-                while pending:
-                    if not submit(*pending.popleft()):
+                        in_flight[pool.submit(_run_batch, batch)] = batch
+                    except (BrokenProcessPool, RuntimeError):
+                        run.requeue(batch)
                         broken = True
                         break
-                while fut_info and not broken:
-                    done, _ = wait(set(fut_info), timeout=poll_s,
-                                   return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        index, attempt = fut_info.pop(fut)
-                        running_since.pop(fut, None)
-                        try:
-                            outcome = fut.result()[0]
-                        except BrokenProcessPool:
-                            broken = True
-                            classify_death(index, attempt)
-                            continue
-                        except CancelledError:
-                            requeue_free(index, attempt)
-                            continue
-                        if outcome[3] is None:
-                            state.record_ok(outcome, attempt)
-                        else:
-                            state.record_failed_attempt(outcome, attempt)
-                            if attempt < state.retries + 1:
-                                state.charge_retry()
-                                if not submit(index, attempt + 1):
-                                    broken = True
-                            else:
-                                state.record_exhausted(outcome)
-                    if broken or cell_timeout_s is None:
-                        continue
-                    # ``fut.running()`` over-reports (true from the
-                    # moment an item enters the call queue), so the
-                    # watchdog clock starts only once the start marker
-                    # proves a worker actually began the cell
-                    now_s = time.perf_counter()
-                    for fut, (i, a) in fut_info.items():
-                        if (fut not in running_since and fut.running()
-                                and os.path.exists(marker(i, a))):
-                            running_since[fut] = now_s
-                    # -- watchdog: quarantine the longest-overdue cell ----
-                    overdue = [(now_s - t0_s, fut)
-                               for fut, t0_s in running_since.items()
-                               if fut in fut_info
-                               and now_s - t0_s > cell_timeout_s]
-                    if not overdue:
-                        continue
-                    _elapsed_s, victim = max(overdue,
-                                             key=lambda pair: pair[0])
-                    index, attempt = fut_info.pop(victim)
-                    state.quarantine_cell(
-                        index, "timed_out", attempt,
-                        f"exceeded cell_timeout_s={cell_timeout_s:g}")
-                    state.reg.counter("sweep.worker_deaths_total").inc()
-                    with obs.span("chaos.watchdog_kill",
-                                  attrs={"cell_index": index}):
-                        pass
-                    # harvest bystanders that finished between the
-                    # wait() and now: their results are real, and
-                    # discarding them would re-run the cells and
-                    # duplicate their journal records
-                    for fut, (j, att) in list(fut_info.items()):
-                        if not fut.done():
-                            continue
-                        del fut_info[fut]
-                        running_since.pop(fut, None)
-                        try:
-                            outcome = fut.result(timeout=0)[0]
-                        except (BrokenProcessPool, CancelledError,
-                                FuturesTimeoutError):
-                            requeue_free(j, att)
-                        else:
-                            settle(j, att, outcome)
-                    # innocents still in flight requeue with no attempt
-                    # charged: the harness, not the cell, is killing
-                    # their worker
-                    for j, att in fut_info.values():
-                        requeue_free(j, att)
-                    fut_info.clear()
-                    _kill_pool_workers(pool)
-                    break
                 if broken:
-                    # classify whatever the dead pool still owed us
-                    for fut, (index, attempt) in list(fut_info.items()):
-                        try:
-                            outcome = fut.result(timeout=0)[0]
-                        except BrokenProcessPool:
-                            classify_death(index, attempt)
-                        except (CancelledError, FuturesTimeoutError):
-                            requeue_free(index, attempt)
-                        else:
-                            settle(index, attempt, outcome)
-                    fut_info.clear()
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-    finally:
-        shutil.rmtree(marker_dir, ignore_errors=True)
-
-
-def _run_serial(state: _RobustState,
-                pending: "deque[Tuple[int, int]]") -> None:
-    """In-process robust loop: journal + retries, no watchdog.
-
-    (A single process cannot kill its own hung cell; ``run_sweep``
-    rejects kill-worker chaos faults before routing here and the
-    watchdog timeout is documented as pool-only.)
-    """
-    from repro.parallel.executor import _run_cells
-
-    while pending:
-        index, attempt = pending.popleft()
-        state.note_injections(index, attempt)
-        state.executed.add(index)
-        state.n_attempts_submitted += 1
-        outcome = _run_cells(state.scenario, [state.indexed[index]],
-                             False, state.tracing, state.chaos,
-                             attempt)[0]
-        if outcome[3] is None:
-            state.record_ok(outcome, attempt)
-        else:
-            state.record_failed_attempt(outcome, attempt)
-            if attempt < state.retries + 1:
-                state.charge_retry()
-                pending.appendleft((index, attempt + 1))
+                    break
+                done, _ = wait(in_flight, timeout=poll_s,
+                               return_when=FIRST_COMPLETED)
+                for fut in done:
+                    if fut.exception() is not None:
+                        broken = True  # settled with the rest below
+                    else:
+                        run.settle(in_flight.pop(fut), fut.result())
+                if broken or watchdog is None:
+                    continue
+                found = watchdog.overdue(in_flight, states)
+                if found is None:
+                    continue
+                victim_fut, k = found
+                batch = in_flight.pop(victim_fut)
+                index, attempt = batch[k]
+                run.quarantine_cell(
+                    index, "timed_out", attempt,
+                    f"exceeded cell_timeout_s={cell_timeout_s:g}")
+                run.reg.counter("sweep.worker_deaths_total").inc()
+                with obs.span("chaos.watchdog_kill",
+                              attrs={"cell_index": index}):
+                    pass
+                # its batch-mates are innocent: the harness, not the
+                # cells, is killing their worker
+                run.requeue(batch[:k] + batch[k + 1:])
+                _kill_pool_workers(pool)
+                killed = True
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+        # every future is resolved now: keep the results that arrived;
+        # lost batches are charged per cell on a worker death, free
+        # after a watchdog kill
+        for fut, batch in in_flight.items():
+            try:
+                outcomes = fut.result()
+            except BrokenProcessPool:
+                if killed:
+                    run.requeue(batch)
+                else:
+                    run.classify_death(batch, states)
+            except CancelledError:
+                run.requeue(batch)
             else:
-                state.record_exhausted(outcome)
+                run.settle(batch, outcomes)
+        if broken:
+            run.reg.counter("sweep.worker_deaths_total").inc()
+        # a free requeue resubmits the same attempt: clear its state so
+        # a stale start cannot convict it at the next worker death
+        for index, _attempt in run.pending:
+            states[index] = 0
+
+
+def _run_serial(run: _RunState, strict: bool) -> None:
+    """In-process loop: journal + retries, no watchdog (a single
+    process can neither kill its own hung cell nor survive killing
+    itself; ``run_sweep`` rejects both before routing here).  In
+    strict mode it stops after the batch whose failure will be raised:
+    retries requeue at the head, so every lower-index cell is resolved
+    by then."""
+    while run.pending:
+        batch = run.take_batch()
+        run.settle(batch, _run_cells(batch, run.scenario, run.params,
+                                     run.tracing, run.chaos))
+        if strict and run.n_failed:
+            break
+
+
+def _merge(names: List[str],
+           cells: Sequence[Dict[str, Any]],
+           outcomes: Sequence[_Outcome],
+           metric_names: Optional[Sequence[str]]) -> SweepResult:
+    """Fold per-cell outcomes (in grid order) into a SweepResult."""
+    resolved: Optional[List[str]] = (list(metric_names)
+                                     if metric_names else None)
+    result = SweepResult(param_names=names, metric_names=[])
+    for index, _elapsed, metrics, error, tb_text, _spans in outcomes:
+        if error is not None:
+            result.failures.append(CellFailure(
+                index=index, params=dict(cells[index]),
+                error=error, traceback_text=tb_text))
+            continue
+        assert metrics is not None
+        if resolved is None:  # first *successful* cell fixes the schema
+            resolved = sorted(metrics)
+        missing = set(resolved) - set(metrics)
+        if missing:
+            raise ValueError(
+                f"scenario omitted metrics {sorted(missing)}")
+        row = dict(cells[index])
+        row.update({m: metrics[m] for m in resolved})
+        result.rows.append(row)
+    result.metric_names = resolved or []
+    return result
 
 
 def execute_robust(scenario: Callable[..., Mapping[str, float]],
-                   names: Sequence[str],
+                   names: List[str],
                    cells: Sequence[Dict[str, Any]],
-                   indexed: Sequence[Tuple[int, Dict[str, Any]]],
+                   params: Sequence[Dict[str, Any]],
+                   metric_names: Optional[Sequence[str]] = None,
                    *,
                    mode: str,
+                   fallback_reason: Optional[str] = None,
                    workers: int,
-                   tracing: str,
+                   strict: bool,
                    journal_path: Optional[str],
                    resume: bool,
                    cell_timeout_s: Optional[float],
                    retries: int,
-                   chaos: Optional[ChaosPlan],
+                   chaos: Optional["ChaosPlan"],
                    base_seed: Optional[int],
-                   seed_param: str) -> RobustRun:
-    """Run a sweep's cells under the robustness harness.
+                   seed_param: str) -> SweepResult:
+    """Execute a sweep's cells and merge them into a SweepResult.
 
     Called by :func:`repro.parallel.executor.run_sweep` after grid
-    expansion, seed injection, and mode/tracing resolution; returns
-    outcome tuples in the executor's own format plus the quarantine
-    list and accounting, so the merge path is shared with the plain
-    executor and cannot drift.
+    expansion, seed injection (``params[i]`` are cell ``i``'s call
+    arguments) and mode resolution.  ``mode == "process-pool"`` runs
+    the pool loop, anything else the in-process loop.  The strict
+    raise stays with the caller; a strict serial run stops early once
+    its lowest-index failure is known.
     """
+    t0 = time.perf_counter()
+    tracer = obs.get_tracer()
+    if not tracer.enabled:
+        tracing = _TRACE_OFF
+    elif mode == "process-pool":
+        tracing = _TRACE_CAPTURE
+    else:
+        tracing = _TRACE_INLINE
     journal: Optional[SweepJournal] = None
     replay: Dict[int, Dict[str, Any]] = {}
     if journal_path is not None:
@@ -502,38 +585,46 @@ def execute_robust(scenario: Callable[..., Mapping[str, float]],
         journal, replay = SweepJournal.for_run(
             journal_path, header, resume=resume)
 
-    state = _RobustState(scenario, cells, indexed, False, tracing,
-                         retries, chaos, journal)
-    index_params = dict(indexed)
+    run = _RunState(scenario, cells, params, tracing, retries, chaos,
+                    journal)
     for index, rec in replay.items():
-        expected = params_hash(index_params[index])
-        if rec.get("params_hash") != expected:
+        if rec.get("params_hash") != params_hash(params[index]):
             raise JournalError(
                 f"journal cell #{index} was computed with different "
                 "parameters; refusing to replay it")
         # replayed spans are not re-adopted: they belong to the run
         # that recorded them, not to this timeline
-        state.outcomes[index] = (index, float(rec.get("elapsed_s", 0.0)),
-                                 rec.get("metrics", {}), None, "", [])
+        run.outcomes[index] = (index, float(rec.get("elapsed_s", 0.0)),
+                               rec.get("metrics", {}), None, "", [])
     if replay:
-        state.reg.counter("sweep.journal_replayed_total").inc(len(replay))
+        run.reg.counter("sweep.journal_replayed_total").inc(len(replay))
 
-    pending = deque((i, 1) for i, _ in indexed if i not in state.outcomes)
+    run.pending.extend((i, 1) for i in range(len(cells))
+                       if i not in run.outcomes)
     try:
         if mode == "process-pool":
-            _run_pool(state, pending, workers, cell_timeout_s)
+            _run_pool(run, workers, cell_timeout_s)
         else:
-            _run_serial(state, pending)
+            _run_serial(run, strict)
     finally:
         if journal is not None:
             journal.close()
+    wall_s = time.perf_counter() - t0
 
-    return RobustRun(
-        outcomes=list(state.outcomes.values()),
-        quarantined=[state.quarantine[i]
-                     for i in sorted(state.quarantine)],
-        n_replayed=len(replay),
-        n_executed=len(state.executed),
-        n_retried=state.n_retried,
-        n_chunks=state.n_attempts_submitted,
-    )
+    outcomes = [run.outcomes[i] for i in sorted(run.outcomes)]
+    if tracing == _TRACE_CAPTURE:
+        # one merged timeline: adopt worker spans in cell order
+        for outcome in outcomes:
+            tracer.adopt(outcome[5])
+    result = _merge(names, cells, outcomes, metric_names)
+    result.quarantined = [run.quarantine[i] for i in sorted(run.quarantine)]
+    result.stats = SweepStats(
+        n_cells=len(cells), n_chunks=run.n_batches, workers=workers,
+        mode=mode, wall_s=wall_s,
+        cell_times_s=[o[1] for o in outcomes if o[0] not in replay],
+        fallback_reason=fallback_reason,
+        n_replayed=len(replay), n_executed=len(run.executed),
+        n_retried=run.n_retried,
+        journal_path=(str(journal_path) if journal_path is not None
+                      else None))
+    return result

@@ -133,9 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--workers", type=int, default=1,
                     help="process-pool size; 1 = serial in-process, "
                          "0 = one per CPU (default: 1)")
-    sw.add_argument("--chunk-size", type=int, default=0,
-                    help="cells per chunk (default: auto, ~4 chunks "
-                         "per worker)")
     sw.add_argument("--no-strict", action="store_true",
                     help="report failing cells in the output instead "
                          "of aborting the sweep")
@@ -414,7 +411,6 @@ def _cmd_sweep(args) -> int:
         result = run_registered(
             args.scenario,
             workers=args.workers,
-            chunk_size=args.chunk_size,
             strict=not args.no_strict,
             grid_overrides=_parse_grid_overrides(args.overrides),
             journal_path=args.journal,
@@ -434,7 +430,7 @@ def _cmd_sweep(args) -> int:
     s = result.stats
     print()
     print(f"{s.n_cells} cells in {s.wall_s:.2f} s wall "
-          f"({s.mode}, workers={s.workers}, chunks={s.n_chunks})")
+          f"({s.mode}, workers={s.workers}, batches={s.n_chunks})")
     print(f"cell time total {s.cell_time_total_s:.2f} s -> "
           f"speedup {s.effective_parallelism:.2f}x over one-by-one")
     if s.fallback_reason:

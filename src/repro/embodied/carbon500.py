@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro import units
-from repro._compat import dataclass_kwarg_aliases
 from repro.embodied.systems import (
     KNOWN_SYSTEMS,
     SystemInventory,
@@ -37,9 +36,6 @@ SYSTEM_PERF_PFLOPS: Dict[str, float] = {
 }
 
 
-@dataclass_kwarg_aliases(
-    embodied_rate_t_per_year="embodied_rate_tonnes_per_year",
-    operational_rate_t_per_year="operational_rate_tonnes_per_year")
 @dataclass(frozen=True)
 class Carbon500Entry:
     """One ranked system with its carbon-efficiency figures."""
@@ -54,19 +50,6 @@ class Carbon500Entry:
     def total_rate_tonnes_per_year(self) -> float:
         return (self.embodied_rate_tonnes_per_year
                 + self.operational_rate_tonnes_per_year)
-
-    # deprecated aliases (pre-linter field names)
-    @property
-    def embodied_rate_t_per_year(self) -> float:
-        return self.embodied_rate_tonnes_per_year
-
-    @property
-    def operational_rate_t_per_year(self) -> float:
-        return self.operational_rate_tonnes_per_year
-
-    @property
-    def total_rate_t_per_year(self) -> float:
-        return self.total_rate_tonnes_per_year
 
     @property
     def carbon_efficiency(self) -> float:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro._compat import dataclass_kwarg_aliases
 from typing import Dict, List
 
 __all__ = ["ZoneProfile", "EUROPE_JAN2023", "get_zone", "list_zones"]
@@ -82,11 +81,6 @@ class ZoneProfile:
             raise ValueError("synoptic_corr must be in [0, 1)")
         if not 0.0 <= self.renewable_share <= 1.0:
             raise ValueError("renewable_share must be in [0, 1]")
-
-    @property
-    def mean_intensity(self) -> float:
-        """Deprecated alias for :attr:`mean_intensity_g_per_kwh`."""
-        return self.mean_intensity_g_per_kwh
 
     @property
     def floor_intensity(self) -> float:

@@ -3,7 +3,7 @@
 The single metric model for the whole carbon stack — the serving
 layer's cache/breaker/latency accounting, the simulator's event-loop
 gauges, the sweep executor's throughput counters — grown out of the
-old ``repro.service.metrics`` (which remains as a deprecation shim).
+serving layer's old metrics module.
 
 Two export surfaces:
 

@@ -6,12 +6,11 @@ modeling sweeps — is a seeded scenario evaluated over a parameter grid.
 This package makes those grids scale with cores *without ever changing
 a single result*:
 
-* :func:`run_sweep` — the process-pool executor
+* :func:`run_sweep` — the sweep executor, serial or process-pool
   (``analysis.sweep.sweep(..., workers=N)`` routes here);
 * :func:`derive_seed` — per-cell seeds keyed on canonical grid
   position, so worker count never leaks into results;
-* :func:`expand_grid` / :func:`plan_chunks` — canonical cell order and
-  deterministic chunk sharding;
+* :func:`expand_grid` — canonical cell order;
 * :func:`register_sweep` / :func:`run_registered` — named sweeps for
   the ``repro sweep`` CLI (stock entries in
   :mod:`repro.parallel.scenarios`).
@@ -29,7 +28,7 @@ from repro.analysis.sweep import (
     SweepStats,
 )
 from repro.parallel.executor import run_sweep
-from repro.parallel.grid import chunk_count, expand_grid, plan_chunks
+from repro.parallel.grid import expand_grid
 from repro.parallel.registry import (
     SweepSpec,
     available_sweeps,
@@ -46,11 +45,9 @@ __all__ = [
     "SweepSpec",
     "SweepStats",
     "available_sweeps",
-    "chunk_count",
     "derive_seed",
     "expand_grid",
     "get_sweep",
-    "plan_chunks",
     "register_sweep",
     "run_registered",
     "run_sweep",

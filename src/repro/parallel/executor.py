@@ -1,10 +1,12 @@
-"""Process-pool sweep executor with serial-parity guarantees.
+"""Sweep front end: grid expansion, seeding, and execution mode.
 
 This is the engine behind ``repro.analysis.sweep.sweep(..., workers=N)``
-and the ``repro sweep`` CLI.  It shards a parameter grid into
-deterministic chunks (:mod:`repro.parallel.grid`), evaluates
-``scenario(**params)`` cells across a ``ProcessPoolExecutor``, and
-merges per-chunk results back in canonical grid order.
+and the ``repro sweep`` CLI.  It expands a parameter grid in canonical
+order (:mod:`repro.parallel.grid`), injects per-cell seeds, decides
+between in-process and process-pool execution, and hands every run —
+plain or robust — to :func:`repro.chaos.runner.execute_robust`, the one
+execution loop, which evaluates ``scenario(**params)`` cells in batches
+and merges them back in canonical grid order.
 
 Determinism contract (DESIGN.md §5d):
 
@@ -13,14 +15,15 @@ Determinism contract (DESIGN.md §5d):
 2. **Index-keyed seeds** — with ``base_seed`` set, each cell receives
    ``derive_seed(base_seed, cell_index)``; seeds are a pure function of
    grid position, so the worker count cannot leak into results.
-3. **No harness randomness** — chunk planning is deterministic; the OS
-   may schedule chunks in any order without observable effect.
+3. **No harness randomness in results** — batch sizes follow measured
+   cell time, so batch composition may differ from run to run; rows
+   cannot, because every cell is keyed on its grid index.
 
 Consequently ``run_sweep(..., workers=k)`` produces rows bit-identical
 to ``workers=1`` for every ``k`` (pinned by ``tests/parallel``).
 
-The serial in-process path engages when ``workers`` resolves to 1, when
-the grid has a single cell (a pool cannot help), or when the scenario or
+The in-process loop engages when ``workers`` resolves to 1, when the
+grid has a single cell (a pool cannot help), or when the scenario or
 its parameters cannot be pickled (closures, lambdas, bound locals);
 ``SweepStats.mode``/``fallback_reason`` record which.  Failing cells are
 captured as :class:`~repro.analysis.sweep.CellFailure` — in non-strict
@@ -35,122 +38,22 @@ from __future__ import annotations
 import inspect
 import os
 import pickle
-import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor
 from typing import (
     Any,
     Callable,
     Dict,
-    List,
     Mapping,
     Optional,
     Sequence,
-    Tuple,
 )
 
 from repro import obs
-from repro.analysis.sweep import (
-    CellFailure,
-    SweepCellError,
-    SweepResult,
-    SweepStats,
-)
-from repro.parallel.grid import chunk_count, expand_grid, plan_chunks
+from repro.analysis.sweep import SweepCellError, SweepResult
+from repro.chaos import runner
+from repro.parallel.grid import expand_grid
 from repro.parallel.seeds import derive_seed
 
 __all__ = ["run_sweep"]
-
-#: (cell_index, elapsed_s, metrics | None, error | None, traceback_text,
-#:  span_dicts) — spans recorded around the cell (pool workers only;
-#:  empty serially, where spans land on the live tracer directly)
-_Outcome = Tuple[int, float, Optional[Dict[str, Any]],
-                 Optional[BaseException], str, List[dict]]
-
-#: how `_run_cells` participates in tracing: "off" (the zero-overhead
-#: default), "inline" (serial path: spans go straight to the enabled
-#: process tracer), or "capture" (pool worker: spans are drained after
-#: every cell and shipped back inside the outcome tuple)
-_TRACE_OFF, _TRACE_INLINE, _TRACE_CAPTURE = "off", "inline", "capture"
-
-
-def _portable_error(error: BaseException,
-                    tb_text: str = "") -> BaseException:
-    """The exception itself if it survives pickling, else a stand-in.
-
-    Worker exceptions cross a process boundary; an unpicklable one
-    (e.g. carrying an open handle) must not take the whole sweep down
-    with a ``PicklingError``, so it degrades to a ``RuntimeError``
-    carrying the original type name and message — plus, when
-    ``tb_text`` is given, the worker-side traceback as a ``__notes__``
-    entry (notes live in the instance dict, so they pickle with the
-    stand-in and ``CellFailure`` diagnostics keep the real stack
-    instead of a bare repr).
-    """
-    try:
-        pickle.loads(pickle.dumps(error))
-        return error
-    except Exception:
-        stand_in = RuntimeError(f"{type(error).__name__}: {error}")
-        if tb_text:
-            stand_in.add_note(
-                "original worker traceback:\n" + tb_text.rstrip())
-        return stand_in
-
-
-def _run_cells(scenario: Callable[..., Mapping[str, float]],
-               indexed_cells: Sequence[Tuple[int, Dict[str, Any]]],
-               stop_on_error: bool,
-               tracing: str = _TRACE_OFF,
-               chaos: Optional[Any] = None,
-               attempt: int = 1) -> List[_Outcome]:
-    """Evaluate cells in order; the worker side of one chunk.
-
-    Must stay module-level (pickled by reference into pool workers).
-
-    With ``tracing="capture"`` (pool workers) the process tracer is
-    enabled, pre-existing spans are discarded (fork copies the parent's
-    buffer), and each cell's spans — the ``sweep.cell`` wrapper plus
-    whatever the scenario opened inside it — are drained into the
-    outcome tuple so the parent can merge one coherent timeline.
-
-    ``chaos``/``attempt`` come from the robust path
-    (:mod:`repro.chaos.runner`): the plan's cell-level faults fire
-    here, on the worker side of the process boundary, before the
-    scenario runs — a ``raise`` fault is indistinguishable from a
-    scenario exception, a ``kill_worker`` fault from a real node loss.
-    """
-    tracer = obs.get_tracer()
-    if tracing == _TRACE_CAPTURE:
-        tracer.enable()
-        tracer.worker = f"worker-{os.getpid()}"
-        tracer.drain()  # drop spans inherited via fork
-    out: List[_Outcome] = []
-    for index, params in indexed_cells:
-        t0 = time.perf_counter()
-        try:
-            if chaos is not None:
-                chaos.apply_in_worker(index, attempt)
-            if tracing == _TRACE_OFF:
-                metrics = dict(scenario(**params))
-            else:
-                with obs.span("sweep.cell", attrs={"cell_index": index}):
-                    metrics = dict(scenario(**params))
-        except Exception as error:  # cell fault, not harness fault
-            spans = ([s.to_dict() for s in tracer.drain()]
-                     if tracing == _TRACE_CAPTURE else [])
-            tb_text = traceback.format_exc()
-            out.append((index, time.perf_counter() - t0, None,
-                        _portable_error(error, tb_text), tb_text,
-                        spans))
-            if stop_on_error:
-                break
-        else:
-            spans = ([s.to_dict() for s in tracer.drain()]
-                     if tracing == _TRACE_CAPTURE else [])
-            out.append((index, time.perf_counter() - t0, metrics,
-                        None, "", spans))
-    return out
 
 
 def _pool_obstacle(scenario: Callable[..., Any],
@@ -186,41 +89,11 @@ def _check_seed_param(scenario: Callable[..., Any],
             f"a {seed_param!r} keyword argument")
 
 
-def _merge(names: List[str],
-           cells: Sequence[Dict[str, Any]],
-           outcomes: List[_Outcome],
-           metric_names: Optional[Sequence[str]]) -> SweepResult:
-    """Fold per-cell outcomes (any arrival order) into a SweepResult."""
-    outcomes.sort(key=lambda o: o[0])
-    resolved: Optional[List[str]] = (list(metric_names)
-                                     if metric_names else None)
-    result = SweepResult(param_names=names, metric_names=[])
-    for index, _elapsed, metrics, error, tb_text, _spans in outcomes:
-        if error is not None:
-            result.failures.append(CellFailure(
-                index=index, params=dict(cells[index]),
-                error=error, traceback_text=tb_text))
-            continue
-        assert metrics is not None
-        if resolved is None:  # first *successful* cell fixes the schema
-            resolved = sorted(metrics)
-        missing = set(resolved) - set(metrics)
-        if missing:
-            raise ValueError(
-                f"scenario omitted metrics {sorted(missing)}")
-        row = dict(cells[index])
-        row.update({m: metrics[m] for m in resolved})
-        result.rows.append(row)
-    result.metric_names = resolved or []
-    return result
-
-
 def run_sweep(scenario: Callable[..., Mapping[str, float]],
               grid: Mapping[str, Sequence[Any]],
               metric_names: Optional[Sequence[str]] = None,
               *,
               workers: Optional[int] = 1,
-              chunk_size: int = 0,
               strict: bool = True,
               base_seed: Optional[int] = None,
               seed_param: str = "seed",
@@ -231,16 +104,14 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
               chaos: Optional[Any] = None) -> SweepResult:
     """Evaluate ``scenario`` over ``grid``, optionally across processes.
 
-    Parameters mirror :func:`repro.analysis.sweep.sweep`; this is the
-    single implementation behind both the serial and parallel paths, so
-    their semantics cannot drift apart.
-
-    Any robustness keyword (``journal_path``/``resume``/
-    ``cell_timeout_s``/``retries``/``chaos``) routes cell execution
-    through :func:`repro.chaos.runner.execute_robust` — cell-granular
-    futures, an fsync'd journal, watchdog, retry, quarantine — while
-    grid expansion, seeding, tracing, and the merge stay on this
-    path, so robust rows cannot drift from plain rows.
+    Parameters mirror :func:`repro.analysis.sweep.sweep`.  Every run,
+    plain or robust, serial or pooled, executes in
+    ``runner.execute_robust`` (looked up at call time); the robustness
+    keywords (``journal_path``/``resume``/``cell_timeout_s``/
+    ``retries``/``chaos``) are options of that one loop, so robust
+    rows cannot drift from plain rows.  A worker death with no retry
+    budget quarantines the cell it killed as ``killed`` instead of
+    aborting the sweep.
     """
     if workers is None or workers == 0:
         workers = os.cpu_count() or 1
@@ -254,20 +125,13 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
     if cell_timeout_s is not None and cell_timeout_s <= 0:
         raise ValueError(
             f"cell_timeout_s must be positive, got {cell_timeout_s}")
-    robust = (journal_path is not None or resume
-              or cell_timeout_s is not None or retries > 0
-              or chaos is not None)
     names, cells = expand_grid(grid)
     if base_seed is not None:
         _check_seed_param(scenario, seed_param)
-
-    def call_params(index: int) -> Dict[str, Any]:
-        p = dict(cells[index])
-        if base_seed is not None:
+    params = [dict(cell) for cell in cells]
+    if base_seed is not None:
+        for index, p in enumerate(params):
             p[seed_param] = derive_seed(base_seed, index)
-        return p
-
-    indexed = [(i, call_params(i)) for i in range(len(cells))]
 
     mode = "process-pool" if workers > 1 else "serial"
     fallback_reason: Optional[str] = None
@@ -276,11 +140,11 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
             mode, fallback_reason = "serial-fallback", (
                 "single-cell grid — a pool cannot help")
         else:
-            obstacle = _pool_obstacle(scenario, [p for _, p in indexed])
+            obstacle = _pool_obstacle(scenario, params)
             if obstacle is not None:
                 mode, fallback_reason = "serial-fallback", obstacle
 
-    if robust and mode != "process-pool":
+    if mode != "process-pool":
         # journal/resume/retry/raise-faults all work in-process, but a
         # single process can neither kill its own hung cell nor
         # survive killing itself
@@ -295,73 +159,14 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
                 f"kill_worker chaos faults need a process pool ({why}); "
                 "SIGKILLing the only process would kill the sweep")
 
-    tracer = obs.get_tracer()
-    if not tracer.enabled:
-        tracing = _TRACE_OFF
-    elif mode == "process-pool":
-        tracing = _TRACE_CAPTURE
-    else:
-        tracing = _TRACE_INLINE
-
-    robust_run = None
-    t0 = time.perf_counter()
     with obs.span("sweep.run", attrs={"n_cells": len(cells),
                                       "workers": workers, "mode": mode}):
-        if robust:
-            from repro.chaos.runner import execute_robust
-            robust_run = execute_robust(
-                scenario, names, cells, indexed,
-                mode=mode, workers=workers, tracing=tracing,
-                journal_path=journal_path, resume=resume,
-                cell_timeout_s=cell_timeout_s, retries=retries,
-                chaos=chaos, base_seed=base_seed,
-                seed_param=seed_param)
-            outcomes = robust_run.outcomes
-            n_chunks = robust_run.n_chunks
-            if tracing == _TRACE_CAPTURE:
-                for _, _, _, _, _, span_dicts in sorted(
-                        outcomes, key=lambda o: o[0]):
-                    tracer.adopt(span_dicts)
-        elif mode == "process-pool":
-            plan = plan_chunks(
-                len(cells), chunk_count(len(cells), workers, chunk_size))
-            with ProcessPoolExecutor(max_workers=min(workers,
-                                                     len(plan))) as pool:
-                futures = [pool.submit(_run_cells, scenario,
-                                       [indexed[i] for i in chunk],
-                                       strict, tracing)
-                           for chunk in plan]
-                outcomes: List[_Outcome] = []
-                for f in futures:
-                    outcomes.extend(f.result())
-            n_chunks = len(plan)
-            if tracing == _TRACE_CAPTURE:
-                # one merged timeline: adopt worker spans in cell order
-                for _, _, _, _, _, span_dicts in sorted(
-                        outcomes, key=lambda o: o[0]):
-                    tracer.adopt(span_dicts)
-        else:
-            outcomes = _run_cells(scenario, indexed, stop_on_error=strict,
-                                  tracing=tracing)
-            n_chunks = 1
-    wall_s = time.perf_counter() - t0
-
-    result = _merge(names, cells, outcomes, metric_names)
-    result.stats = SweepStats(
-        n_cells=len(cells), n_chunks=n_chunks, workers=workers,
-        mode=mode, wall_s=wall_s,
-        cell_times_s=[o[1] for o in sorted(outcomes,
-                                           key=lambda o: o[0])],
-        fallback_reason=fallback_reason,
-        n_executed=len(outcomes))
-    if robust_run is not None:
-        result.quarantined = robust_run.quarantined
-        result.stats.n_replayed = robust_run.n_replayed
-        result.stats.n_executed = robust_run.n_executed
-        result.stats.n_retried = robust_run.n_retried
-        result.stats.journal_path = (str(journal_path)
-                                     if journal_path is not None
-                                     else None)
+        result = runner.execute_robust(
+            scenario, names, cells, params, metric_names,
+            mode=mode, fallback_reason=fallback_reason, workers=workers,
+            strict=strict, journal_path=journal_path, resume=resume,
+            cell_timeout_s=cell_timeout_s, retries=retries, chaos=chaos,
+            base_seed=base_seed, seed_param=seed_param)
     if strict and result.failures:
         first = min(result.failures, key=lambda fl: fl.index)
         raise SweepCellError(first) from first.error

@@ -84,7 +84,6 @@ def available_sweeps() -> List[SweepSpec]:
 def run_registered(name: str,
                    *,
                    workers: Optional[int] = 1,
-                   chunk_size: int = 0,
                    strict: bool = True,
                    grid_overrides: Optional[
                        Mapping[str, Sequence[Any]]] = None,
@@ -112,7 +111,7 @@ def run_registered(name: str,
                 f"grid parameters: {sorted(grid)}")
         grid[pname] = list(values)
     return run_sweep(spec.scenario, grid, spec.metric_names,
-                     workers=workers, chunk_size=chunk_size,
+                     workers=workers,
                      strict=strict, base_seed=spec.base_seed,
                      seed_param=spec.seed_param,
                      journal_path=journal_path, resume=resume,

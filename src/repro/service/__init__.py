@@ -26,8 +26,7 @@ Public API
 :class:`LatencyHistogram`)
     The observability registry behind ``repro service stats`` — now an
     alias of :class:`repro.obs.registry.MetricsRegistry`, the unified
-    stack-wide registry (``repro.service.metrics`` remains as a
-    deprecation shim).
+    stack-wide registry.
 Errors
     :class:`ServiceError`, :class:`TransientBackendError`,
     :class:`DeadlineExceededError`, :class:`CircuitOpenError`,
@@ -45,7 +44,7 @@ from repro.service.errors import (
     TransientBackendError,
 )
 from repro.service.faults import FlakyProvider, SlowProvider
-from repro.obs.registry import (  # moved; repro.service.metrics is a shim
+from repro.obs.registry import (  # the registry lives in repro.obs
     Counter,
     Gauge,
     LatencyHistogram,

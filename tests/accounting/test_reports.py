@@ -31,7 +31,7 @@ class TestBuildReport:
             4 * node_power_model.peak_watts / 1000.0, rel=1e-6)
         assert report.carbon_kg == pytest.approx(
             report.energy_kwh * 250.0 / 1000.0, rel=1e-6)
-        assert report.mean_intensity == pytest.approx(250.0)
+        assert report.mean_intensity_g_per_kwh == pytest.approx(250.0)
 
     def test_unfinished_job_rejected(self, node_power_model):
         job = Job(job_id=1, submit_time=0.0, nodes_requested=1,

@@ -108,6 +108,22 @@ class TestRead:
         assert header["kind"] == "header"
         assert [r["index"] for r in records] == [0]
 
+    def test_resume_cuts_the_torn_tail_before_appending(self, tmp_path):
+        """Appending after a torn tail must not glue a record onto it:
+        the journal stays readable for the next resume."""
+        path = tmp_path / "j.jsonl"
+        j, _ = SweepJournal.for_run(path, header_for())
+        j.record_cell(0, {"x": 0.0}, "ok", metrics={"m": 1.0})
+        j.close()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind": "cell", "index": 1, "met')  # torn
+        j, replay = SweepJournal.for_run(path, header_for(), resume=True)
+        assert list(replay) == [0]
+        j.record_cell(1, {"x": 1.0}, "ok", metrics={"m": 2.0})
+        j.close()
+        _, records = SweepJournal.read(path)
+        assert [r["index"] for r in records] == [0, 1]
+
     def test_corrupt_interior_line_is_an_error(self, tmp_path):
         path = tmp_path / "j.jsonl"
         j, _ = SweepJournal.for_run(path, header_for())

@@ -1,9 +1,10 @@
-"""End-to-end tests of the robust sweep harness (repro.chaos.runner).
+"""End-to-end tests of the sweep execution loop (repro.chaos.runner).
 
 The contract under test is DESIGN §5f: any robustness feature —
-journal, resume, watchdog, retry, chaos plan — may change *how* a
-sweep executes, never *what* it computes.  Every test here compares
-against a plain serial run and demands bit-identical rows.
+journal, resume, watchdog, retry, chaos plan — and the batching of
+cells may change *how* a sweep executes, never *what* it computes.
+Every test here compares against a plain serial run and demands
+bit-identical rows.
 """
 
 import time
@@ -22,6 +23,12 @@ GRID = {"lane": [0, 1, 2, 3, 4, 5], "rep": [0, 1]}
 def stable_cell(lane, rep):
     """Pure arithmetic — the ground truth every robust run must match."""
     return {"m": lane * 10.0 + rep, "sq": float(lane * lane)}
+
+
+def napping_cell(lane, rep):
+    """Slower than the 50 ms batch budget: always runs alone."""
+    time.sleep(0.1)
+    return stable_cell(lane, rep)
 
 
 def hang_cell(lane, rep, hang_s=0.0):
@@ -63,6 +70,8 @@ class TestJournalAndResume:
         assert r.rows == baseline.rows
         assert r.stats.n_replayed == 12
         assert r.stats.n_executed == 0
+        # nothing ran, so no cell time is this run's (and no speedup)
+        assert r.stats.cell_times_s == []
 
     def test_partial_resume_executes_only_the_gap(self, tmp_path,
                                                   baseline):
@@ -190,6 +199,53 @@ class TestWorkerDeath:
                    resume=True)  # no chaos: the "node" came back
         assert r2.rows == baseline.rows
         assert r2.stats.n_replayed == len(r1.rows)
+
+
+class TestBatching:
+    def test_tiny_cells_share_batches(self, tmp_path):
+        """2000 ~us cells, journaled, with a retry budget: batches
+        form from the measured cell time, far fewer than cells."""
+        grid = {"lane": list(range(50)), "rep": list(range(40))}
+        serial = run_sweep(stable_cell, grid, workers=1)
+        r = run_sweep(stable_cell, grid, workers=2, retries=1,
+                      journal_path=tmp_path / "j.jsonl")
+        assert r.rows == serial.rows
+        assert r.stats.n_chunks < r.stats.n_cells // 10
+        _, records = SweepJournal.read(tmp_path / "j.jsonl")
+        assert sorted(rec["index"] for rec in records) == list(
+            range(2000))
+
+    def test_slow_cells_run_one_batch_per_attempt(self, baseline):
+        """Cells over the budget keep per-cell granularity; a retried
+        cell's second attempt is a batch of its own too."""
+        plan = ChaosPlan(faults=(FaultSpec.raise_at(7),))
+        r = sweep(napping_cell, GRID, workers=2, retries=1, chaos=plan)
+        assert r.rows == baseline.rows
+        assert r.stats.n_retried == 1
+        assert r.stats.n_chunks == r.stats.n_cells + 1
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_kill_inside_a_batch_charges_only_the_victim(self, workers):
+        """A SIGKILL mid-batch: the state array convicts the killer,
+        at most one mid-execution cell per worker is charged, and the
+        batch-mates that finished before it requeue free (4 workers on
+        a 2-core box also stress the shared array)."""
+        grid = {"lane": list(range(6)), "rep": list(range(10))}
+        serial = run_sweep(stable_cell, grid, workers=1)
+        k = 40
+        plan = ChaosPlan(faults=(FaultSpec.kill_worker_at(k,
+                                                          times=99),))
+        r = sweep(stable_cell, grid, workers=workers, retries=0,
+                  chaos=plan)
+        statuses = {q.index: q.status for q in r.quarantined}
+        assert statuses[k] == "killed"
+        assert len(r.quarantined) <= workers
+        # the first 2 x workers batches are single cells (no timing
+        # yet), then the rest of the grid goes as one batch holding k
+        assert r.stats.n_chunks < 30
+        assert not any(k - 10 <= i < k for i in statuses)
+        assert all(row in serial.rows for row in r.rows)
+        assert len(r.rows) + len(r.quarantined) == 60
 
 
 class TestWatchdog:

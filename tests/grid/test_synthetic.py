@@ -37,7 +37,7 @@ class TestCalibratedStatistics:
     def test_monthly_mean_exact(self, zone):
         trace = generate_month(zone, seed=0)
         assert trace.mean() == pytest.approx(
-            get_zone(zone).mean_intensity, rel=1e-12)
+            get_zone(zone).mean_intensity_g_per_kwh, rel=1e-12)
 
     @pytest.mark.parametrize("zone", ["FI", "FR", "DE", "NO"])
     def test_daily_sigma_exact(self, zone):
@@ -88,7 +88,7 @@ class TestGenerateParameters:
     def test_substeps(self):
         t = generate_month("FR", seed=0, n_days=2, step_seconds=900.0)
         assert len(t) == 2 * 96
-        assert t.mean() == pytest.approx(get_zone("FR").mean_intensity)
+        assert t.mean() == pytest.approx(get_zone("FR").mean_intensity_g_per_kwh)
 
     def test_rejects_non_dividing_step(self):
         with pytest.raises(ValueError, match="evenly divide"):
@@ -102,7 +102,7 @@ class TestGenerateParameters:
         t = generate_month("FR", seed=0, n_days=1)
         # one day: synoptic is zero, daily mean == zone mean
         assert t.daily_means()[0] == pytest.approx(
-            get_zone("FR").mean_intensity)
+            get_zone("FR").mean_intensity_g_per_kwh)
 
     def test_start_time_offset(self):
         t = generate_month("FR", seed=0, n_days=1, start_time=DAY)
@@ -113,4 +113,4 @@ class TestGenerateParameters:
     @settings(max_examples=10, deadline=None)
     def test_mean_exact_any_length(self, n_days):
         t = generate_month("GB", seed=1, n_days=n_days)
-        assert t.mean() == pytest.approx(get_zone("GB").mean_intensity)
+        assert t.mean() == pytest.approx(get_zone("GB").mean_intensity_g_per_kwh)

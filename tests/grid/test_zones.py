@@ -21,8 +21,8 @@ class TestCalibration:
     """The Jan-2023 calibration targets from the paper."""
 
     def test_fi_fr_ratio_is_exactly_2_1(self):
-        fi = get_zone("FI").mean_intensity
-        fr = get_zone("FR").mean_intensity
+        fi = get_zone("FI").mean_intensity_g_per_kwh
+        fr = get_zone("FR").mean_intensity_g_per_kwh
         assert fi / fr == pytest.approx(2.1)
 
     def test_fi_daily_sigma_is_quoted_value(self):
@@ -58,7 +58,7 @@ class TestLookup:
 
     def test_list_zones_sorted_by_mean(self):
         zones = list_zones()
-        means = [get_zone(z).mean_intensity for z in zones]
+        means = [get_zone(z).mean_intensity_g_per_kwh for z in zones]
         assert means == sorted(means)
 
     def test_twelve_zones(self):

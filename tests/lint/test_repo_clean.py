@@ -40,7 +40,7 @@ class TestServicePackageCovered:
         assert service.is_dir()
         modules = {p.name for p in service.glob("*.py")}
         assert {"core.py", "cache.py", "coalesce.py", "retry.py",
-                "faults.py", "metrics.py", "errors.py"} <= modules
+                "faults.py", "errors.py"} <= modules
 
     def test_service_package_is_clean(self):
         findings = lint_paths([SRC / "service"])

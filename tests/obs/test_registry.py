@@ -1,6 +1,7 @@
 """Metrics registry: labels, gauge deltas, Prometheus exposition."""
 
 import re
+import warnings
 
 import pytest
 
@@ -50,6 +51,18 @@ class TestCreateOnUse:
 
     def test_service_metrics_is_an_alias(self):
         assert ServiceMetrics is MetricsRegistry
+
+
+class TestServiceReexport:
+    def test_package_level_import_is_warning_free(self):
+        """``from repro.service import Counter`` must not warn: the
+        package re-exports from repro.obs directly."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            from repro.service import Counter as ServiceCounter
+            from repro.service import ServiceMetrics as ServiceRegistry
+        assert ServiceCounter is Counter
+        assert ServiceRegistry is MetricsRegistry
 
 
 class TestGaugeDeltas:

@@ -7,7 +7,7 @@ offending parameter assignment, with the original exception chained.
 
 ``TestWorkerDeathRecovery`` covers the harder boundary: a worker
 process SIGKILLed mid-cell (a real node loss, not a Python
-exception) — the robust path must survive the resulting
+exception) — the sweep must survive the resulting
 ``BrokenProcessPool``, journal everything that completed, and a
 resumed run must reproduce the exact serial rows.
 """
@@ -95,7 +95,7 @@ class TestStrict:
         assert isinstance(excinfo.value.__cause__, ValueError)
 
     def test_lowest_index_failure_wins(self, workers):
-        """Deterministic choice regardless of which chunk finishes
+        """Deterministic choice regardless of which batch finishes
         first: the reported cell is the one the serial loop would have
         hit."""
         with pytest.raises(SweepCellError) as excinfo:
@@ -197,25 +197,19 @@ class TestWorkerDeathRecovery:
         assert resumed.stats.n_replayed == len(first.rows)
         assert resumed.stats.n_executed == len(killed)
 
-    def test_death_without_journal_still_quarantines(self, tmp_path):
-        """Harness armed (watchdog only), no journal, no retries: the
-        grid still completes minus the quarantined cells instead of
-        dying with BrokenProcessPool."""
+    @pytest.mark.parametrize(
+        "harness", [{}, {"cell_timeout_s": 60.0}],
+        ids=["no-robustness-keyword", "watchdog-only"])
+    def test_death_without_journal_still_quarantines(self, tmp_path,
+                                                     harness):
+        """No journal, no retries — and, in the first case, no
+        robustness keyword at all: the grid still completes minus the
+        quarantined cells instead of dying with BrokenProcessPool."""
         sentinel = tmp_path / "killed"
         expected = self.serial_rows(sentinel)
         r = run_sweep(kill_once_cell,
                       dict(GRID, sentinel=[str(sentinel)]),
-                      workers=2, cell_timeout_s=60.0)
+                      workers=2, **harness)
         assert all(row in expected for row in r.rows)
         assert any(q.status == "killed" for q in r.quarantined)
         assert len(r.rows) + len(r.quarantined) == 6
-
-    def test_plain_path_still_propagates_pool_breakage(self, tmp_path):
-        """Without any robustness keyword the fast chunked path is
-        untouched — a dead worker is still a hard error."""
-        import concurrent.futures.process as cfp
-        sentinel = tmp_path / "killed"
-        with pytest.raises(cfp.BrokenProcessPool):
-            run_sweep(kill_once_cell,
-                      dict(GRID, sentinel=[str(sentinel)]),
-                      workers=2)

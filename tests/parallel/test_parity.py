@@ -5,6 +5,8 @@ never changes a result: same rows, same values, same order, for every
 grid shape and worker count.  ``==`` here is exact — no ``approx``.
 """
 
+import time
+
 import pytest
 
 from repro.parallel import derive_seed, run_sweep
@@ -26,6 +28,13 @@ def poly_cell(x, y=0.0, mode="a", n=1):
     bias = {"a": 0.0, "b": 10.0}[mode]
     return {"loss": (x - 2.0) ** 2 + y * n + bias,
             "sum": x + y + n}
+
+
+def napping_cell(x):
+    """~60 ms for the first six cells of MIXED_GRID, ~0 ms after."""
+    if x < 6.0:
+        time.sleep(0.06)
+    return poly_cell(x)
 
 
 def seeded_cell(x, seed=0):
@@ -66,13 +75,26 @@ class TestSeedParity:
         assert parallel.column("echo") == [
             float(derive_seed(42, i)) for i in range(6)]
 
-    def test_chunk_size_never_changes_rows(self, workers):
-        grid = {"x": [float(i) for i in range(10)]}
-        reference = run_sweep(poly_cell, grid, workers=1)
-        for chunk_size in (1, 3, 10):
-            got = run_sweep(poly_cell, grid, workers=workers,
-                            chunk_size=chunk_size)
-            assert got.rows == reference.rows
+
+#: six ~60 ms cells, then eighteen ~0 ms ones
+MIXED_GRID = {"x": [float(i) for i in range(24)]}
+
+
+@pytest.fixture(scope="module")
+def mixed_serial_rows():
+    return run_sweep(napping_cell, MIXED_GRID, workers=1).rows
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_batch_composition_never_changes_rows(workers, mixed_serial_rows):
+    """Batches are sized from measured cell time: each slow cell runs
+    alone (its 60 ms exceed the 50 ms batch budget), and once a fast
+    cell's timing arrives the rest of the grid goes as one batch (at
+    most one fast single per in-flight slot precedes it).  The rows
+    equal the serial run exactly either way."""
+    got = run_sweep(napping_cell, MIXED_GRID, workers=workers)
+    assert got.rows == mixed_serial_rows
+    assert 6 < got.stats.n_chunks < got.stats.n_cells
 
 
 class TestEdgeCases:

@@ -70,7 +70,6 @@ class TestCli:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["sweep", "footprint"])
         assert args.workers == 1
-        assert args.chunk_size == 0
         assert not args.no_strict
 
     def test_list(self, capsys):
