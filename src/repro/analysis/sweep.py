@@ -245,7 +245,9 @@ def sweep(scenario: Callable[..., Mapping[str, float]],
     quarantine list on ``result.quarantined``, and deterministic fault
     injection.  A resumed run merges bit-identical to an uninterrupted
     one.  A worker death quarantines the cell it killed even with none
-    of them set.
+    of them set.  ``strict`` covers scenario exceptions only: a
+    quarantined cell carries none to raise, so even a strict run can
+    return without some rows — check ``result.quarantined``.
     """
     from repro.parallel.executor import run_sweep
     return run_sweep(scenario, grid, metric_names,

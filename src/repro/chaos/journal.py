@@ -103,18 +103,28 @@ _FINGERPRINT_FIELDS = ("version", "n_cells", "grid_hash", "scenario",
 
 
 def _drop_torn_tail(path: Path) -> None:
-    """Cut a torn final line off before appending to a journal.
+    """Mend an unterminated final line before appending to a journal.
 
     :meth:`SweepJournal.read` skips a torn *final* line, but the next
     append would glue a new record onto it, turning the tail into a
-    corrupt middle line that every later resume refuses.
+    corrupt middle line that every later resume refuses.  The mend
+    agrees with the reader on what is torn: a tail that does not parse
+    is cut; one that parses was replayed, so it keeps its record and
+    only gains the newline it lost.
     """
     with open(path, "rb+") as fh:
-        keep = fh.read().rfind(b"\n") + 1
-        if keep < fh.tell():
-            fh.truncate(keep)
-            fh.flush()
-            os.fsync(fh.fileno())
+        data = fh.read()
+        start = data.rfind(b"\n") + 1
+        if start == len(data):
+            return
+        try:
+            json.loads(data[start:])
+        except ValueError:
+            fh.truncate(start)
+        else:
+            fh.write(b"\n")
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 class SweepJournal:

@@ -14,11 +14,14 @@ How it executes:
 * **Batches sized from measured cell time.**  A batch holds as many
   cells as fit in one watchdog poll period (``_MAX_POLL_S``), judged
   by the mean time of the last finished batch's successful cells; it
-  holds one cell until the first timing arrives, and a cell slower
-  than the budget always runs alone, so long-cell sweeps keep
-  per-cell durability and blast radius (``SweepStats.n_chunks``
-  counts the batches submitted).  At most ``2 x workers`` batches are
-  in flight, so each ``wait()`` costs O(workers), not O(cells).
+  holds one cell until the first timing arrives.  The prediction only
+  sizes the batch: a batch whose cells have run past the budget stops
+  and hands its unrun tail back to the head of the queue, so a cell
+  slower than the budget never shares a batch with a cell after it,
+  and long-cell sweeps keep per-cell durability and blast radius even
+  when cheap cells come first (``SweepStats.n_chunks`` counts the
+  batches submitted).  At most ``2 x workers`` batches are in flight,
+  so each ``wait()`` costs O(workers), not O(cells).
 * **Journal-as-checkpoint.**  Each finished attempt is fsync'd to the
   JSONL journal *before* the loop moves on; a resumed run replays
   ``ok`` records and re-executes only missing/failed/quarantined
@@ -147,6 +150,10 @@ def _run_cells(batch: Sequence[_Attempt],
                states: Optional[Any] = None) -> List[_Outcome]:
     """Evaluate one batch of cell attempts in order.
 
+    The batch stops early once its cells have run longer than
+    ``_MAX_POLL_S``: the budget is enforced by measurement, so a batch
+    sized from cheap cells that reaches expensive ones returns after
+    the first of them, and the outcomes cover a prefix of ``batch``.
     The plan's cell-level faults fire here, on the worker side of the
     process boundary, before the scenario runs — a ``raise`` fault is
     indistinguishable from a scenario exception, a ``kill_worker``
@@ -156,10 +163,13 @@ def _run_cells(batch: Sequence[_Attempt],
     """
     tracer = obs.get_tracer()
     out: List[_Outcome] = []
+    batch_t0 = time.perf_counter()
     for index, attempt in batch:
+        t0 = time.perf_counter()
+        if out and t0 - batch_t0 > _MAX_POLL_S:
+            break  # budget spent: the caller requeues the rest
         if states is not None:
             states[index] = attempt * 4 + _STARTED
-        t0 = time.perf_counter()
         metrics: Optional[Dict[str, Any]] = None
         error: Optional[BaseException] = None
         tb_text = ""
@@ -308,7 +318,9 @@ class _RunState:
     def settle(self, batch: Sequence[_Attempt],
                outcomes: Sequence[_Outcome]) -> None:
         """Record a finished batch; failed cells with budget left
-        requeue at the head of the queue for their next attempt."""
+        requeue at the head of the queue for their next attempt,
+        followed by the cells a budget-cut batch never ran (free: same
+        attempt)."""
         retry: List[_Attempt] = []
         ok_times_s: List[float] = []
         for (index, attempt), outcome in zip(batch, outcomes):
@@ -333,7 +345,7 @@ class _RunState:
             else:  # budget spent: a CellFailure at merge
                 self.outcomes[index] = outcome
                 self.n_failed += 1
-        self.requeue(retry)
+        self.requeue(retry + list(batch[len(outcomes):]))
         # a failed attempt (often an early raise) says nothing about
         # what a cell costs
         if ok_times_s:

@@ -135,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "0 = one per CPU (default: 1)")
     sw.add_argument("--no-strict", action="store_true",
                     help="report failing cells in the output instead "
-                         "of aborting the sweep")
+                         "of aborting the sweep, and exit 0 when "
+                         "cells are quarantined")
     sw.add_argument("--set", action="append", default=[], metavar="P=V,V",
                     dest="overrides",
                     help="override one grid parameter's value list, "
@@ -439,6 +440,13 @@ def _cmd_sweep(args) -> int:
         extra = (f", {s.n_replayed} replayed, {s.n_executed} executed"
                  if s.n_replayed else "")
         print(f"journal: {s.journal_path}{extra}")
+    if result.quarantined and not args.no_strict:
+        # strict means "complete or an error": quarantined cells are
+        # missing rows, so the exit status must say so
+        print(f"sweep: {len(result.quarantined)} cell(s) quarantined; "
+              "the rows are incomplete (--no-strict accepts that)",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -111,7 +111,9 @@ def run_sweep(scenario: Callable[..., Mapping[str, float]],
     ``retries``/``chaos``) are options of that one loop, so robust
     rows cannot drift from plain rows.  A worker death with no retry
     budget quarantines the cell it killed as ``killed`` instead of
-    aborting the sweep.
+    aborting the sweep.  ``strict`` raises the lowest-index scenario
+    exception only; quarantined cells are missing from ``rows`` even
+    in strict mode and are listed on ``result.quarantined``.
     """
     if workers is None or workers == 0:
         workers = os.cpu_count() or 1

@@ -124,6 +124,25 @@ class TestRead:
         _, records = SweepJournal.read(path)
         assert [r["index"] for r in records] == [0, 1]
 
+    def test_resume_keeps_a_whole_record_that_lost_its_newline(
+            self, tmp_path):
+        """A final record that parses but lacks its newline is replayed,
+        so the mend must keep it: cutting it would re-execute a cell
+        the resume already counted as journaled."""
+        path = tmp_path / "j.jsonl"
+        j, _ = SweepJournal.for_run(path, header_for())
+        j.record_cell(0, {"x": 0.0}, "ok", metrics={"m": 1.0})
+        j.close()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"kind": "cell", "index": 1,
+                                 "status": "ok", "metrics": {"m": 2.0}}))
+        j, replay = SweepJournal.for_run(path, header_for(), resume=True)
+        assert sorted(replay) == [0, 1]
+        j.record_cell(2, {"x": 2.0}, "ok", metrics={"m": 3.0})
+        j.close()
+        _, records = SweepJournal.read(path)
+        assert [r["index"] for r in records] == [0, 1, 2]
+
     def test_corrupt_interior_line_is_an_error(self, tmp_path):
         path = tmp_path / "j.jsonl"
         j, _ = SweepJournal.for_run(path, header_for())

@@ -31,6 +31,14 @@ def napping_cell(lane, rep):
     return stable_cell(lane, rep)
 
 
+def late_napping_cell(lane, rep):
+    """~0 ms on the first lanes, 0.1 s on the last six: cheap cells
+    come first in grid order and size a big batch."""
+    if lane >= 34:
+        time.sleep(0.1)
+    return stable_cell(lane, rep)
+
+
 def hang_cell(lane, rep, hang_s=0.0):
     """Sleeps forever-ish on lane 2 — watchdog prey."""
     if lane == 2 and hang_s > 0.0:
@@ -223,6 +231,24 @@ class TestBatching:
         assert r.rows == baseline.rows
         assert r.stats.n_retried == 1
         assert r.stats.n_chunks == r.stats.n_cells + 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_slow_cells_after_cheap_ones_are_journaled_alone(
+            self, tmp_path, workers):
+        """The cheap cells' timing sizes one batch for the rest of the
+        grid, but the budget is enforced by measurement: the batch
+        stops after its first slow cell and the tail requeues, so
+        each slow cell reaches the journal in a batch of its own."""
+        grid = {"lane": list(range(40)), "rep": [0]}
+        n_slow = 6
+        serial = run_sweep(stable_cell, grid, workers=1)
+        r = run_sweep(late_napping_cell, grid, workers=workers,
+                      journal_path=tmp_path / "j.jsonl")
+        assert r.rows == serial.rows
+        assert r.stats.n_chunks >= n_slow
+        assert r.stats.n_executed == 40
+        _, records = SweepJournal.read(tmp_path / "j.jsonl")
+        assert sorted(rec["index"] for rec in records) == list(range(40))
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_kill_inside_a_batch_charges_only_the_victim(self, workers):

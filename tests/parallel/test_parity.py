@@ -90,7 +90,8 @@ def test_batch_composition_never_changes_rows(workers, mixed_serial_rows):
     """Batches are sized from measured cell time: each slow cell runs
     alone (its 60 ms exceed the 50 ms batch budget), and once a fast
     cell's timing arrives the rest of the grid goes as one batch (at
-    most one fast single per in-flight slot precedes it).  The rows
+    most one fast single per in-flight slot precedes it; the cheap-
+    first order is pinned in tests/chaos/test_robust.py).  The rows
     equal the serial run exactly either way."""
     got = run_sweep(napping_cell, MIXED_GRID, workers=workers)
     assert got.rows == mixed_serial_rows

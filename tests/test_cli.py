@@ -99,6 +99,28 @@ class TestSweepRobustnessFlags:
         out = capsys.readouterr().out
         assert "4 replayed, 0 executed" in out
 
+    def test_quarantine_fails_a_strict_run(self, capsys, monkeypatch):
+        """Strict means complete or an error: a run with a quarantined
+        cell prints it and exits 1; --no-strict accepts the gap."""
+        import repro.parallel
+        from repro.analysis.sweep import CellQuarantine
+
+        real = repro.parallel.run_registered
+
+        def quarantining(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.quarantined.append(CellQuarantine(
+                index=0, params={}, status="killed"))
+            return result
+
+        monkeypatch.setattr(repro.parallel, "run_registered",
+                            quarantining)
+        assert main(["sweep", "backfill-delay"]) == 1
+        captured = capsys.readouterr()
+        assert "QUARANTINED cell #0" in captured.out
+        assert "1 cell(s) quarantined" in captured.err
+        assert main(["sweep", "backfill-delay", "--no-strict"]) == 0
+
 
 class TestChaosCommand:
     def test_requires_subcommand(self):
